@@ -20,6 +20,13 @@ genuine code transformation:
 Dynamic execution counts are represented as floats; a "run" of a program is
 fully described by the profile, which the simulator consumes.  The IR is
 deterministic and owns no randomness.
+
+The IR is copy-on-write at instruction granularity.  Instructions are
+immutable values; cloning a program copies its functions, blocks and
+instruction *lists* but shares the instruction objects, so a compile's
+working copy and the (cached) source program hold the same instructions.
+A pass rewrites an instruction by storing ``insn.evolve(...)`` back into its
+block's list, never by assigning to a field.
 """
 
 from __future__ import annotations
@@ -56,24 +63,13 @@ class Opcode(enum.Enum):
     RET = "ret"
     NOP = "nop"
 
-    @property
-    def category(self) -> str:
-        """Functional-unit category: alu, mac, shift, load, store or ctrl."""
-        return _CATEGORY[self]
-
-    @property
-    def is_memory(self) -> bool:
-        return self in (Opcode.LOAD, Opcode.STORE)
-
-    @property
-    def is_branch(self) -> bool:
-        """Control transfers that consult the branch predictor / BTB."""
-        return self in (Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.RET)
-
-    @property
-    def register_reads(self) -> int:
-        """Register-file read ports consumed, for the regfile counter."""
-        return _REG_READS[self]
+    # Per-opcode facts, set once on every member below (plain attributes,
+    # not properties: passes, ``finalize`` and ``validate`` read them for
+    # every instruction).
+    category: str  # functional-unit category: alu, mac, shift, load, store or ctrl
+    is_memory: bool
+    is_branch: bool  # control transfers that consult the branch predictor / BTB
+    register_reads: int  # register-file read ports consumed, for the regfile counter
 
 
 _CATEGORY = {
@@ -117,6 +113,13 @@ _REG_READS = {
     Opcode.RET: 0,
     Opcode.NOP: 0,
 }
+
+for _member in Opcode:
+    _member.category = _CATEGORY[_member]
+    _member.is_memory = _member in (Opcode.LOAD, Opcode.STORE)
+    _member.is_branch = _member in (Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.RET)
+    _member.register_reads = _REG_READS[_member]
+del _member
 
 #: Default producer latencies in cycles (dcache-hit latency for loads is
 #: machine dependent and substituted by the simulator; 3 is the XScale value).
@@ -175,9 +178,13 @@ ALL_TAGS = frozenset(
 )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Instruction:
-    """One IR instruction.
+    """One IR instruction: an immutable value.
+
+    Blocks share instruction objects freely — a cloned block holds the same
+    instructions as its source — so a pass never assigns to a field; it
+    stores ``insn.evolve(...)`` back into the block's list instead.
 
     Attributes:
         opcode: operation class.
@@ -211,7 +218,7 @@ class Instruction:
 
     def __post_init__(self) -> None:
         if self.latency == 0:
-            self.latency = DEFAULT_LATENCY[self.opcode.category]
+            object.__setattr__(self, "latency", DEFAULT_LATENCY[self.opcode.category])
         if self.opcode.is_memory and self.region is None:
             raise ValueError(f"{self.opcode} requires a data region")
         if self.opcode is Opcode.CALL and self.callee is None:
@@ -225,15 +232,51 @@ class Instruction:
             if kind not in DEP_KINDS:
                 raise ValueError(f"unknown dep kind {kind!r}")
 
+    def evolve(self, **changes) -> "Instruction":
+        """A copy with some fields replaced.
+
+        Skips ``__post_init__``: no validation and no latency defaulting, so
+        a rewritten opcode keeps its latency unless ``latency`` is passed
+        too.
+        """
+        # Unrolled slot copies through the slot descriptors: passes call
+        # this for every instruction they rewrite.  A name that is not a
+        # field fails with AttributeError, as the class has no __dict__.
+        new = _new_object(Instruction)
+        _set_opcode(new, self.opcode)
+        _set_expr(new, self.expr)
+        _set_region(new, self.region)
+        _set_stride(new, self.stride)
+        _set_deps(new, self.deps)
+        _set_latency(new, self.latency)
+        _set_tags(new, self.tags)
+        _set_callee(new, self.callee)
+        _set_chain(new, self.chain)
+        for name, value in changes.items():
+            _set_field(new, name, value)
+        return new
+
     def has_tag(self, tag: str) -> bool:
         return tag in self.tags
-
-    def clone(self) -> "Instruction":
-        return replace(self)
 
     @property
     def size_bytes(self) -> int:
         return INSTRUCTION_BYTES
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+(
+    _set_opcode,
+    _set_expr,
+    _set_region,
+    _set_stride,
+    _set_deps,
+    _set_latency,
+    _set_tags,
+    _set_callee,
+    _set_chain,
+) = (getattr(Instruction, name).__set__ for name in Instruction.__slots__)
 
 
 @dataclass
@@ -285,7 +328,7 @@ class BasicBlock:
     def clone(self, new_label: str | None = None) -> "BasicBlock":
         return BasicBlock(
             label=new_label or self.label,
-            instructions=[insn.clone() for insn in self.instructions],
+            instructions=list(self.instructions),
             successors=list(self.successors),
             exec_count=self.exec_count,
             taken_prob=self.taken_prob,

@@ -1,9 +1,12 @@
 """Shared machinery for optimisation passes.
 
-Passes mutate a working copy of the program IR.  The two fiddly operations —
-deleting and inserting instructions while keeping dependence distances
-consistent — live here so each pass stays small and every pass preserves the
-IR invariants the same way.
+Passes mutate a working copy of the program IR: its blocks, their
+instruction lists and the profile.  Instructions themselves are immutable
+values shared with the source program, so a rewritten instruction is stored
+back into its block's list.  The two fiddly operations — deleting and
+inserting instructions while keeping dependence distances consistent — live
+here so each pass stays small and every pass preserves the IR invariants the
+same way.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ def delete_instructions(block: BasicBlock, indices: Iterable[int]) -> int:
                     continue
                 else:
                     new_deps.append((new_index - old_to_new[producer], kind))
-            insn.deps = tuple(new_deps)
+            new_deps = tuple(new_deps)
+            if new_deps != insn.deps:
+                insn = insn.evolve(deps=new_deps)
         new_instructions.append(insn)
     removed = len(old_instructions) - len(new_instructions)
     block.instructions = new_instructions
@@ -97,19 +102,19 @@ def insert_instructions(
     count = len(new_insns)
     if count == 0:
         return
-    for old_index in range(position, len(block.instructions)):
-        insn = block.instructions[old_index]
+    instructions = block.instructions
+    for old_index in range(position, len(instructions)):
+        insn = instructions[old_index]
         if not insn.deps:
             continue
-        new_deps = []
-        for distance, kind in insn.deps:
-            producer = old_index - distance
-            if producer < position:
-                new_deps.append((distance + count, kind))
-            else:
-                new_deps.append((distance, kind))
-        insn.deps = tuple(new_deps)
-    block.instructions[position:position] = list(new_insns)
+        new_deps = tuple(
+            (distance + count, kind) if old_index - distance < position
+            else (distance, kind)
+            for distance, kind in insn.deps
+        )
+        if new_deps != insn.deps:
+            instructions[old_index] = insn.evolve(deps=new_deps)
+    instructions[position:position] = list(new_insns)
 
 
 def remove_tagged(

@@ -197,18 +197,18 @@ class InlineFunctionsPass(Pass):
         """Deps reaching back past the old CALL stretch by the body length."""
         if growth <= 0:
             return
-        for new_index, insn in enumerate(continuation.instructions):
+        instructions = continuation.instructions
+        for new_index, insn in enumerate(instructions):
             if not insn.deps:
                 continue
             old_index = new_index + call_index + 1
-            new_deps = []
-            for distance, kind in insn.deps:
-                producer = old_index - distance
-                if producer <= call_index:
-                    new_deps.append((distance + growth, kind))
-                else:
-                    new_deps.append((distance, kind))
-            insn.deps = tuple(new_deps)
+            new_deps = tuple(
+                (distance + growth, kind) if old_index - distance <= call_index
+                else (distance, kind)
+                for distance, kind in insn.deps
+            )
+            if new_deps != insn.deps:
+                instructions[new_index] = insn.evolve(deps=new_deps)
 
     @staticmethod
     def _rewrite_returns(clone: BasicBlock, continuation_label: str) -> None:

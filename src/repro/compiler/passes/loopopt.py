@@ -56,12 +56,10 @@ def _hoist_invariant_alu(
             if not movable:
                 continue
             delete_instructions(block, [index for index, _ in movable])
-            hoisted = []
-            for _, insn in movable:
-                clone = insn.clone()
-                clone.deps = ()
-                clone.tags = clone.tags - {TAG_INVARIANT}
-                hoisted.append(clone)
+            hoisted = [
+                insn.evolve(deps=(), tags=insn.tags - {TAG_INVARIANT})
+                for _, insn in movable
+            ]
             position = len(preheader.instructions)
             if preheader.terminator is not None:
                 position -= 1
@@ -197,21 +195,21 @@ class StrengthReducePass(Pass):
             for block in function.blocks.values():
                 for index, insn in enumerate(block.instructions):
                     if insn.opcode is Opcode.MUL and insn.has_tag(TAG_INDUCTION):
-                        insn.opcode = Opcode.ADD
-                        insn.latency = 1
+                        block.instructions[index] = insn.evolve(
+                            opcode=Opcode.ADD, latency=1
+                        )
                         self._retag_consumers(block, index)
                         stats["strength_reduce.converted"] += 1
 
     @staticmethod
     def _retag_consumers(block, producer_index: int) -> None:
         """Consumers saw a 3-cycle 'mac' producer; it is now a 1-cycle ALU."""
-        for consumer_index in range(
-            producer_index + 1, len(block.instructions)
-        ):
-            insn = block.instructions[consumer_index]
+        instructions = block.instructions
+        for consumer_index in range(producer_index + 1, len(instructions)):
+            insn = instructions[consumer_index]
             if not insn.deps:
                 continue
-            insn.deps = tuple(
+            new_deps = tuple(
                 (
                     (distance, "alu")
                     if consumer_index - distance == producer_index and kind == "mac"
@@ -219,3 +217,5 @@ class StrengthReducePass(Pass):
                 )
                 for distance, kind in insn.deps
             )
+            if new_deps != insn.deps:
+                instructions[consumer_index] = insn.evolve(deps=new_deps)

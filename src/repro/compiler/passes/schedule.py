@@ -22,6 +22,8 @@ Sub-flags:
 
 from __future__ import annotations
 
+import heapq
+
 from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import (
     DEFAULT_LATENCY,
@@ -202,46 +204,55 @@ def _schedule_segment(
     take the one available soonest.  This interleaves independent chains,
     stretching producer→consumer distances — the whole point of scheduling
     on an in-order pipeline.
+
+    Ready instructions sit in one of two heaps: *available* (operands ready
+    by the current slot), keyed ``(-height, index)``, and *waiting*, keyed
+    ``(ready_time, -height, index)``.  Each slot first moves every waiting
+    instruction whose time has come, then picks the available top, or the
+    waiting top if nothing is available — exactly the minimum of
+    ``(max(ready_time, slot), -height, index)`` over the ready pool.
     """
     instructions = block.instructions
     indices = range(seg_start, seg_end)
+    latency = {index: _latency_of(instructions[index]) for index in indices}
     successors: dict[int, list[int]] = {index: [] for index in indices}
-    indegree: dict[int, int] = {index: 0 for index in indices}
+    remaining: dict[int, int] = {index: 0 for index in indices}
     for index in indices:
         for producer in predecessors[index]:
             if seg_start <= producer < seg_end:
                 successors[producer].append(index)
-                indegree[index] += 1
+                remaining[index] += 1
 
     # Critical path (height) of each node, in cycles.
     height: dict[int, int] = {}
     for index in reversed(indices):
-        latency = _latency_of(instructions[index])
-        height[index] = latency + max(
+        height[index] = latency[index] + max(
             (height[consumer] for consumer in successors[index]), default=0
         )
 
-    ready = {index for index in indices if indegree[index] == 0}
-    ready_time: dict[int, int] = {index: 0 for index in ready}
+    available = [(-height[index], index) for index in indices if remaining[index] == 0]
+    heapq.heapify(available)
+    waiting: list[tuple[int, int, int]] = []
+    ready_time: dict[int, int] = {}
     order: list[int] = []
-    remaining = dict(indegree)
     slot = 0
-    while ready:
-        pool = list(ready)
-        # Instructions already available compare equal on effective time, so
-        # the critical path decides among them; otherwise the soonest wins.
-        pool.sort(
-            key=lambda index: (max(ready_time[index], slot), -height[index], index)
-        )
-        chosen = pool[0]
-        ready.remove(chosen)
+    while available or waiting:
+        while waiting and waiting[0][0] <= slot:
+            _, neg_height, index = heapq.heappop(waiting)
+            heapq.heappush(available, (neg_height, index))
+        if available:
+            chosen = heapq.heappop(available)[1]
+        else:
+            chosen = heapq.heappop(waiting)[2]
         order.append(chosen)
-        finish = slot + _latency_of(instructions[chosen])
+        finish = slot + latency[chosen]
         for consumer in successors[chosen]:
             ready_time[consumer] = max(ready_time.get(consumer, 0), finish)
             remaining[consumer] -= 1
             if remaining[consumer] == 0:
-                ready.add(consumer)
+                heapq.heappush(
+                    waiting, (ready_time[consumer], -height[consumer], consumer)
+                )
         slot += 1
     return order
 
@@ -276,7 +287,9 @@ def _apply_order(block: BasicBlock, new_order: list[int], has_terminator: bool) 
                     # Should not happen (precedence respected); drop safely.
                     continue
                 new_deps.append((new_index - new_position, kind))
-        insn.deps = tuple(new_deps)
+        new_deps = tuple(new_deps)
+        if new_deps != insn.deps:
+            reordered[new_index] = insn.evolve(deps=new_deps)
     block.instructions = reordered
 
 

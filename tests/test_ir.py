@@ -1,5 +1,7 @@
 """Tests for the IR (repro.compiler.ir)."""
 
+import dataclasses
+
 import pytest
 
 from repro.compiler.ir import (
@@ -64,13 +66,33 @@ class TestInstruction:
         with pytest.raises(ValueError, match="kind"):
             Instruction(opcode=Opcode.ADD, deps=((1, "bogus"),))
 
-    def test_clone_is_independent(self):
+    def test_evolve_is_independent(self):
         original = Instruction(opcode=Opcode.ADD, expr="x", deps=((1, "alu"),))
-        clone = original.clone()
-        clone.deps = ()
-        clone.expr = "y"
+        evolved = original.evolve(deps=(), expr="y")
+        assert evolved is not original
+        assert (evolved.expr, evolved.deps) == ("y", ())
         assert original.expr == "x"
         assert original.deps == ((1, "alu"),)
+
+    def test_evolve_keeps_latency_unless_given(self):
+        """No latency defaulting: a rewritten opcode keeps the old latency."""
+        mul = Instruction(opcode=Opcode.MUL, expr="m")
+        assert mul.evolve(opcode=Opcode.ADD).latency == 3
+        assert mul.evolve(opcode=Opcode.ADD, latency=1).latency == 1
+
+    def test_evolve_rejects_unknown_fields(self):
+        with pytest.raises(AttributeError, match="bogus"):
+            Instruction(opcode=Opcode.ADD).evolve(bogus=1)
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(Instruction)]
+    )
+    def test_every_field_is_frozen(self, name):
+        insn = Instruction(opcode=Opcode.ADD, expr="x", deps=((1, "alu"),))
+        before = repr(insn)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(insn, name, getattr(insn, name))
+        assert repr(insn) == before
 
     def test_size_is_fixed_width(self):
         assert Instruction(opcode=Opcode.ADD).size_bytes == 4
@@ -106,11 +128,14 @@ class TestBasicBlock:
         with pytest.raises(ValueError):
             BasicBlock("b", predictability=-0.1)
 
-    def test_clone_deep_copies_instructions(self):
+    def test_clone_shares_instructions_with_an_independent_list(self):
         block = BasicBlock("b", [Instruction(opcode=Opcode.ADD, expr="x")])
         clone = block.clone("c")
-        clone.instructions[0].expr = "y"
+        assert clone.instructions[0] is block.instructions[0]
+        clone.instructions[0] = clone.instructions[0].evolve(expr="y")
+        clone.instructions.append(Instruction(opcode=Opcode.SUB))
         assert block.instructions[0].expr == "x"
+        assert len(block.instructions) == 1
         assert clone.label == "c"
 
 

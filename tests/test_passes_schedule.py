@@ -1,12 +1,18 @@
 """Tests for instruction scheduling and the register-pressure model."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler.flags import o3_setting
-from repro.compiler.ir import BasicBlock, Instruction, Opcode
+from repro.compiler.ir import DEP_KINDS, BasicBlock, Instruction, Opcode
+from repro.compiler.passes import schedule
 from repro.compiler.passes.base import PassStats
 from repro.compiler.passes.schedule import (
     BASELINE_LIVE,
+    MAX_REGION_INSNS,
     ScheduleInsnsPass,
     block_pressure,
     list_schedule,
@@ -211,7 +217,7 @@ class TestScheduleInsnsPass:
     def test_gated_by_flag(self):
         program = simple_loop_program()
         body = program.functions["main"].blocks["body"]
-        body.instructions[3].deps = ((1, "load"),)
+        body.instructions[3] = body.instructions[3].evolve(deps=((1, "load"),))
         before = [insn.expr for insn in body.instructions]
         ScheduleInsnsPass().apply(
             program, o3_setting().with_values(fschedule_insns=False), PassStats()
@@ -243,3 +249,104 @@ class TestScheduleInsnsPass:
         program = simple_loop_program(body_insns=6)
         ScheduleInsnsPass().apply(program, o3_setting(), PassStats())
         assert "body" not in program.functions["main"].blocks
+
+
+def _reference_schedule_segment(block, predecessors, seg_start, seg_end):
+    """The sort-per-slot list scheduler the heap version must match.
+
+    At every slot the whole ready pool is sorted by
+    ``(max(ready_time, slot), -height, index)`` and the first entry wins.
+    """
+    instructions = block.instructions
+    indices = range(seg_start, seg_end)
+    successors = {index: [] for index in indices}
+    indegree = {index: 0 for index in indices}
+    for index in indices:
+        for producer in predecessors[index]:
+            if seg_start <= producer < seg_end:
+                successors[producer].append(index)
+                indegree[index] += 1
+
+    height = {}
+    for index in reversed(indices):
+        latency = schedule._latency_of(instructions[index])
+        height[index] = latency + max(
+            (height[consumer] for consumer in successors[index]), default=0
+        )
+
+    ready = {index for index in indices if indegree[index] == 0}
+    ready_time = {index: 0 for index in ready}
+    order = []
+    remaining = dict(indegree)
+    slot = 0
+    while ready:
+        pool = list(ready)
+        pool.sort(
+            key=lambda index: (max(ready_time[index], slot), -height[index], index)
+        )
+        chosen = pool[0]
+        ready.remove(chosen)
+        order.append(chosen)
+        finish = slot + schedule._latency_of(instructions[chosen])
+        for consumer in successors[chosen]:
+            ready_time[consumer] = max(ready_time.get(consumer, 0), finish)
+            remaining[consumer] -= 1
+            if remaining[consumer] == 0:
+                ready.add(consumer)
+        slot += 1
+    return order
+
+
+#: Opcode mix of the random blocks: ALU-heavy, with MAC, shifts, memory
+#: and the occasional CALL barrier.
+_BODY_OPCODES = (
+    [Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.MOV, Opcode.MUL, Opcode.MAC]
+    + [Opcode.SHL, Opcode.LOAD, Opcode.LOAD, Opcode.STORE, Opcode.CALL]
+)
+
+
+@st.composite
+def _scheduling_blocks(draw):
+    """Random blocks: deps (some reaching past the block start), loads and
+    stores over 1–3 regions, CALL barriers and an optional terminator."""
+    regions = [f"r{index}" for index in range(draw(st.integers(1, 3)))]
+    count = draw(st.integers(3, MAX_REGION_INSNS))
+    instructions = []
+    for index in range(count):
+        opcode = draw(st.sampled_from(_BODY_OPCODES))
+        deps = tuple(
+            draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(1, index + 2), st.sampled_from(DEP_KINDS)
+                    ),
+                    max_size=3,
+                )
+            )
+        )
+        instructions.append(
+            Instruction(
+                opcode=opcode,
+                expr=f"e{index}",
+                region=draw(st.sampled_from(regions)) if opcode.is_memory else None,
+                callee="f" if opcode is Opcode.CALL else None,
+                deps=deps,
+            )
+        )
+    if draw(st.booleans()):
+        instructions.append(Instruction(opcode=Opcode.BR, deps=((1, "alu"),)))
+    return BasicBlock("b", instructions, exec_count=1.0)
+
+
+class TestHeapSchedulerMatchesReference:
+    @given(block=_scheduling_blocks(), allow_speculation=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_identical_order_to_sort_per_slot(self, block, allow_speculation):
+        reference = block.clone()
+        with mock.patch.object(
+            schedule, "_schedule_segment", _reference_schedule_segment
+        ):
+            moved_reference = list_schedule(reference, allow_speculation)
+        moved = list_schedule(block, allow_speculation)
+        assert moved == moved_reference
+        assert block.instructions == reference.instructions
