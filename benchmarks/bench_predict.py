@@ -3,9 +3,11 @@
 The deployment hot path (§3.4) is "profile once, rank the flag space from
 memory": every ``/predict`` runs the KNN/softmax/mixture math plus the
 best-first top-N enumeration.  This harness times whole batches of ranked
-predictions through the scalar reference and the batched ranking kernel
-(:mod:`repro.core.vector`) over the same fitted model and certifies the
-two are byte-identical under canonical JSON before reporting a speedup.
+predictions through the scalar reference
+(:func:`~repro.core.predictor.reference_predict_distribution`) and the
+batched ranking kernel (:mod:`repro.core.vector`) over the same fitted
+model and certifies the two are byte-identical under canonical JSON
+before reporting a speedup.
 
 Two modes:
 
@@ -18,25 +20,33 @@ Two modes:
   that CI uploads and the README's performance table cites.
 """
 
-from repro.api.facets import ranked_prediction, ranked_prediction_many
-from repro.core.predictor import OptimisationPredictor
+from repro.api.facets import ranked_from_distribution, ranked_prediction_many
+from repro.core.predictor import (
+    OptimisationPredictor,
+    reference_predict_distribution,
+)
 from repro.experiments.config import PRESETS
 from repro.experiments.dataset import load_or_build
 from repro.service.service import canonical_json
 from repro.sim.counters import PerfCounters
 
 
-def _fitted_models(scale_name: str):
-    """One scalar and one vectorised predictor over the same training."""
+def _fitted_model(scale_name: str):
+    """A predictor fitted on a scale's training set."""
     data = load_or_build(PRESETS[scale_name], use_disk_cache=False)
     training = data.training
-    scalar = OptimisationPredictor(
-        extended=training.extended, vectorize=False
-    ).fit(training)
-    vector = OptimisationPredictor(
-        extended=training.extended, vectorize=True
-    ).fit(training)
-    return training, scalar, vector
+    model = OptimisationPredictor(extended=training.extended).fit(training)
+    return training, model
+
+
+def _reference_rank(model, query):
+    """One ranked prediction through the scalar reference."""
+    distribution = reference_predict_distribution(
+        model, query["counters"], query["machine"]
+    )
+    return ranked_from_distribution(
+        distribution, query["machine"], query["top"], query["program"]
+    )
 
 
 def _query_batch(training, repeats: int, top: int):
@@ -57,16 +67,15 @@ def _query_batch(training, repeats: int, top: int):
 
 
 def test_rank_scalar(benchmark):
-    training, scalar, _ = _fitted_models("tiny")
+    training, model = _fitted_model("tiny")
     queries = _query_batch(training, repeats=1, top=3)
-    benchmark(lambda: [ranked_prediction(scalar, q["counters"], q["machine"],
-                                         q["top"]) for q in queries])
+    benchmark(lambda: [_reference_rank(model, q) for q in queries])
 
 
 def test_rank_vector(benchmark):
-    training, _, vector = _fitted_models("tiny")
+    training, model = _fitted_model("tiny")
     queries = _query_batch(training, repeats=1, top=3)
-    benchmark(lambda: ranked_prediction_many(vector, queries))
+    benchmark(lambda: ranked_prediction_many(model, queries))
 
 
 # --------------------------------------------------------------- artifact
@@ -80,21 +89,15 @@ def emit_artifact(out: str, smoke: bool) -> dict:
     from perfjson import emit, measure, throughput
 
     scale_name, repeats, top = ("tiny", 8, 3) if smoke else ("quick", 10, 5)
-    training, scalar, vector = _fitted_models(scale_name)
+    training, model = _fitted_model(scale_name)
     queries = _query_batch(training, repeats, top)
 
     def scalar_rank():
         for query in queries:
-            ranked_prediction(
-                scalar,
-                query["counters"],
-                query["machine"],
-                query["top"],
-                program=query["program"],
-            )
+            _reference_rank(model, query)
 
     def vector_rank():
-        ranked_prediction_many(vector, queries)
+        ranked_prediction_many(model, queries)
 
     scalar_timing = throughput(measure(scalar_rank, rounds=3), len(queries))
     vector_timing = throughput(measure(vector_rank, rounds=3), len(queries))
@@ -106,10 +109,10 @@ def emit_artifact(out: str, smoke: bool) -> dict:
 
     def scalar_mode():
         for counters, machine in zip(counters_list, machines):
-            scalar.predict(counters, machine)
+            reference_predict_distribution(model, counters, machine).mode()
 
     def vector_mode():
-        vector.predict_many(counters_list, machines)
+        model.predict_many(counters_list, machines)
 
     mode_scalar_timing = throughput(
         measure(scalar_mode, rounds=3), len(queries)
@@ -121,20 +124,12 @@ def emit_artifact(out: str, smoke: bool) -> dict:
     # The artifact also certifies equivalence — byte-identity of the
     # ranked payloads under canonical JSON, the service's wire contract.
     reference = [
-        canonical_json(
-            ranked_prediction(
-                scalar,
-                query["counters"],
-                query["machine"],
-                query["top"],
-                program=query["program"],
-            ).payload()
-        )
+        canonical_json(_reference_rank(model, query).payload())
         for query in queries
     ]
     candidate = [
         canonical_json(prediction.payload())
-        for prediction in ranked_prediction_many(vector, queries)
+        for prediction in ranked_prediction_many(model, queries)
     ]
     if reference != candidate:
         raise SystemExit("ranking kernel drifted from the scalar reference")

@@ -21,6 +21,7 @@ from repro.machine.params import MicroArchSpace
 from repro.programs import mibench_program
 from repro.sim import simulate_analytic
 from repro.store import ExperimentStore, GridSpec, ShardKey, compute_shard
+from repro.store.compute import compute_shard_reference
 
 #: One representative shard: a small program across an 8-machine chunk.
 N_MACHINES = 8
@@ -136,29 +137,21 @@ def emit_artifact(out: str, smoke: bool) -> dict:
 
     scalar_timing = throughput(
         measure(
-            lambda: compute_shard(
-                program, machines, settings, compiler, vectorize=False
-            ),
+            lambda: compute_shard_reference(program, machines, settings, compiler),
             rounds=3,
         ),
         pairs,
     )
     vector_timing = throughput(
         measure(
-            lambda: compute_shard(
-                program, machines, settings, compiler, vectorize=True
-            ),
+            lambda: compute_shard(program, machines, settings, compiler),
             rounds=3,
         ),
         pairs,
     )
 
-    scalar_arrays = compute_shard(
-        program, machines, settings, compiler, vectorize=False
-    )
-    vector_arrays = compute_shard(
-        program, machines, settings, compiler, vectorize=True
-    )
+    scalar_arrays = compute_shard_reference(program, machines, settings, compiler)
+    vector_arrays = compute_shard(program, machines, settings, compiler)
     if not all(
         np.array_equal(got, want)
         for got, want in zip(vector_arrays, scalar_arrays)

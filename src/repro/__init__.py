@@ -21,9 +21,10 @@ The package is organised around the paper's Figure 2 pipeline:
   distributions over good optimisations (eqs. 2-5), the K-nearest-neighbour
   predictive distribution (eq. 6) and its mode (eq. 1), leave-one-out
   cross-validation, and the mutual-information analyses of Figures 8 and 9.
-* :mod:`repro.search` — iterative-compilation baselines: uniform random
-  search (which defines the paper's "Best"), hill climbing, a genetic
-  algorithm and combined elimination.
+* :mod:`repro.autotune` — iterative compilation: uniform random search
+  (which defines the paper's "Best"), hill climbing, a genetic algorithm
+  and combined elimination, plus model-guided strategies and the
+  tournament that scores them all under one budget.
 * :mod:`repro.experiments` — one reproduction entry point per table and
   figure in the paper's evaluation.
 * :mod:`repro.store` — the sharded, resumable experiment store: dataset

@@ -7,14 +7,12 @@ surface is split into four lazily-constructed facets:
 * **``session.eval``** — compile-and-simulate (program, setting, machine)
   triples, optionally in parallel, against any registered
   :class:`SimulatorBackend` (the fast analytic model or the trace-driven
-  reference tier); plus the iterative-compilation search baselines.
+  reference tier); plus iterative-compilation search and the autotuning tournament.
 * **``session.models``** — fit/predict/rank, file persistence, and the
   versioned :class:`ModelRegistry` (register/promote/rollback) the
   prediction service deploys from.
 * **``session.data``** — the sharded, resumable experiment store.
 * **``session.protocol``** — the checkpointed paper-protocol fold grid.
-
-The pre-v2 flat ``Session`` methods remain as deprecation shims.
 """
 
 from repro.api.backends import (

@@ -11,8 +11,8 @@ individually-testable facets, each owning one slice of the pipeline:
 * ``session.protocol`` — the resumable paper-protocol fold grid.
 
 Facets share the session's state (compiler, spaces, caches, fitted
-model), so mixing facet calls with the deprecated flat ``Session``
-methods is safe during migration — both operate on the same objects.
+model), so a model fitted through ``session.models`` is the one
+``session.eval`` searches with.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from typing import Callable, Iterable, Sequence
 
 from repro.api.backends import SimulatorBackend, resolve_backend
 from repro.autotune.core import run_strategy
+from repro.autotune.evaluator import Evaluator
 from repro.autotune.guided import GUIDED_STRATEGIES
+from repro.autotune.strategies import BASELINE_STRATEGIES, CombinedElimination
 from repro.autotune.tournament import TournamentResult, run_tournament
 from repro.api.persistence import load_predictor, save_predictor
 from repro.api.registry import (
@@ -75,32 +77,17 @@ from repro.experiments.dataset import (
 from repro.experiments.figures import seed_crossval_cache
 from repro.machine.params import MicroArch
 from repro.parallel import resolve_jobs, run_batch
-from repro.search.combined_elimination import combined_elimination
-from repro.search.evaluator import Evaluator
-from repro.search.genetic import genetic_search
-from repro.search.hillclimb import hill_climb
-from repro.search.random_search import random_search
 from repro.sim.counters import PerfCounters
 from repro.sim.vector import GridIndex
 from repro.store import ExperimentRunner, ExperimentStore, StoreStatus
 
-#: Registered iterative-compilation drivers: name -> (evaluator, budget,
-#: seed, space) -> SearchResult.  Aliases share an entry.
-SEARCH_ALGORITHMS: dict[str, Callable] = {
-    "random": lambda ev, budget, seed, space: random_search(
-        ev, budget, seed=seed, space=space
-    ),
-    "hillclimb": lambda ev, budget, seed, space: hill_climb(
-        ev, budget, seed=seed, space=space
-    ),
-    "genetic": lambda ev, budget, seed, space: genetic_search(
-        ev, budget, seed=seed, space=space
-    ),
-    "combined-elimination": lambda ev, budget, seed, space: combined_elimination(
-        ev, seed=seed, budget=budget, space=space
-    ),
+#: Every algorithm :meth:`EvalFacet.search` runs: name -> strategy class.
+#: ``"ce"`` is short for ``"combined-elimination"``.
+SEARCH_ALGORITHMS: dict[str, type] = {
+    **BASELINE_STRATEGIES,
+    "ce": CombinedElimination,
+    **GUIDED_STRATEGIES,
 }
-SEARCH_ALGORITHMS["ce"] = SEARCH_ALGORITHMS["combined-elimination"]
 
 
 @dataclass
@@ -162,6 +149,22 @@ def profile_with_model(model, binary, machine, backend):
     return profile, code_features
 
 
+def ranked_from_distribution(
+    distribution,
+    machine: MicroArch,
+    top: int = 5,
+    program: str | None = None,
+) -> RankedPrediction:
+    """The top-``top`` settings of a predictive distribution, ranked."""
+    ranked = tuple(
+        RankedSetting(rank=index + 1, setting=setting, probability=probability)
+        for index, (setting, probability) in enumerate(
+            distribution.top_settings(top)
+        )
+    )
+    return RankedPrediction(program=program, machine=machine, settings=ranked)
+
+
 def ranked_prediction(
     model: OptimisationPredictor,
     counters: PerfCounters,
@@ -180,13 +183,7 @@ def ranked_prediction(
     distribution = model.predict_distribution(
         counters, machine, code_features=code_features
     )
-    ranked = tuple(
-        RankedSetting(rank=index + 1, setting=setting, probability=probability)
-        for index, (setting, probability) in enumerate(
-            distribution.top_settings(top)
-        )
-    )
-    return RankedPrediction(program=program, machine=machine, settings=ranked)
+    return ranked_from_distribution(distribution, machine, top, program)
 
 
 def ranked_prediction_many(
@@ -218,24 +215,15 @@ def ranked_prediction_many(
         [query["machine"] for query in queries],
         code_features=[query.get("code_features") for query in queries],
     )
-    predictions = []
-    for query, distribution in zip(queries, distributions):
-        ranked = tuple(
-            RankedSetting(
-                rank=index + 1, setting=setting, probability=probability
-            )
-            for index, (setting, probability) in enumerate(
-                distribution.top_settings(query.get("top", 5))
-            )
+    return [
+        ranked_from_distribution(
+            distribution,
+            query["machine"],
+            query.get("top", 5),
+            query.get("program"),
         )
-        predictions.append(
-            RankedPrediction(
-                program=query.get("program"),
-                machine=query["machine"],
-                settings=ranked,
-            )
-        )
-    return predictions
+        for query, distribution in zip(queries, distributions)
+    ]
 
 
 class _Facet:
@@ -320,7 +308,7 @@ class EvalFacet(_Facet):
 
     def _vectorisable(self, items: list[tuple]) -> bool:
         """True when the whole batch can ride one simulate-many pass."""
-        if not self._session.vectorize or len(items) < 2:
+        if len(items) < 2:
             return False
         first_backend = items[0][3]
         return hasattr(first_backend, "run_many") and all(
@@ -394,7 +382,6 @@ class EvalFacet(_Facet):
             compiler=session.compiler,
             simulate=active_backend.run,
             batch_simulate=getattr(active_backend, "run_many", None),
-            vectorize=session.vectorize,
         )
 
     def search(
@@ -412,19 +399,17 @@ class EvalFacet(_Facet):
             request = SearchRequest(**kwargs)
         elif kwargs:
             raise TypeError("pass a SearchRequest or keyword fields, not both")
-        if (
-            request.algorithm not in SEARCH_ALGORITHMS
-            and request.algorithm not in GUIDED_STRATEGIES
-        ):
+        strategy_cls = SEARCH_ALGORITHMS.get(request.algorithm)
+        if strategy_cls is None:
             raise ValueError(
                 f"unknown search algorithm {request.algorithm!r}; "
-                f"choose from "
-                f"{sorted({*SEARCH_ALGORITHMS, *GUIDED_STRATEGIES})}"
+                f"choose from {sorted(SEARCH_ALGORITHMS)}"
             )
         evaluator = self.evaluator(
             request.program, request.machine, backend=request.backend
         )
         o3_runtime = evaluator.o3_runtime()
+        distribution = None
         if request.algorithm in GUIDED_STRATEGIES:
             # Model-guided: one §3.4 profile run feeds the predictive
             # distribution the strategy searches with (no exclusions —
@@ -432,20 +417,15 @@ class EvalFacet(_Facet):
             distribution = self._pair_distribution(
                 request.program, request.machine, backend=request.backend
             )
-            result = run_strategy(
-                GUIDED_STRATEGIES[request.algorithm](),
-                evaluator,
-                request.budget,
-                seed=request.seed,
-                space=self._session.flag_space,
-                distribution=distribution,
-                o3_runtime=o3_runtime,
-            )
-        else:
-            driver = SEARCH_ALGORITHMS[request.algorithm]
-            result = driver(
-                evaluator, request.budget, request.seed, self._session.flag_space
-            )
+        result = run_strategy(
+            strategy_cls(),
+            evaluator,
+            request.budget,
+            seed=request.seed,
+            space=self._session.flag_space,
+            distribution=distribution,
+            o3_runtime=o3_runtime,
+        )
         return SearchOutcome(
             program=evaluator.program.name,
             machine=request.machine,
@@ -548,7 +528,6 @@ class EvalFacet(_Facet):
                 compiler=session.compiler,
                 simulate=active_backend.run,
                 batch_simulate=getattr(active_backend, "run_many", None),
-                vectorize=session.vectorize,
             )
 
         def distribution_for(program: Program, machine: MicroArch):
@@ -656,7 +635,6 @@ class DataFacet(_Facet):
             compiler=session.compiler,
             jobs=session.jobs,
             executor=session.executor,
-            vectorize=session.vectorize,
             lease_ttl=lease_ttl,
         )
         return runner.run(max_shards=max_shards, progress=progress)
@@ -668,7 +646,7 @@ class ModelsFacet(_Facet):
 
     @property
     def model(self) -> OptimisationPredictor | None:
-        """The session's fitted model (shared with the flat shims)."""
+        """The session's fitted model (``None`` until fit or load)."""
         return self._session.model
 
     @property
@@ -697,7 +675,6 @@ class ModelsFacet(_Facet):
             beta=beta,
             quantile=quantile,
             feature_mode=feature_mode,
-            vectorize=session.vectorize,
         ).fit(training)
         session.model = model
         session.model_fingerprint = training.fingerprint()
@@ -829,9 +806,7 @@ class ModelsFacet(_Facet):
     def load(self, path: str | Path) -> OptimisationPredictor:
         """Load a persisted model file into this session."""
         session = self._session
-        predictor, provenance = load_predictor(
-            path, space=session.flag_space, vectorize=session.vectorize
-        )
+        predictor, provenance = load_predictor(path, space=session.flag_space)
         session.model = predictor
         session.model_fingerprint = provenance["fingerprint"]
         return predictor
@@ -884,7 +859,6 @@ class ModelsFacet(_Facet):
         predictor, entry = registry.load(
             version,
             space=session.flag_space,
-            vectorize=session.vectorize,
             channel=channel,
         )
         session.model = predictor
@@ -985,7 +959,6 @@ class ProtocolFacet(_Facet):
             jobs=session.jobs if jobs is None else jobs,
             executor=session.executor if executor is None else executor,
             compiler=session.compiler,
-            vectorize=session.vectorize,
             lease_ttl=lease_ttl,
         )
         stats = pipeline.run(

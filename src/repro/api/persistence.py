@@ -43,14 +43,13 @@ def save_predictor(
 
 
 def load_predictor(
-    path: str | Path, space: FlagSpace = DEFAULT_SPACE, vectorize: bool = True
+    path: str | Path, space: FlagSpace = DEFAULT_SPACE
 ) -> tuple[OptimisationPredictor, dict]:
     """Read a predictor back; returns ``(model, provenance)``.
 
     ``space`` must match the flag space the model was fitted on (checked
     against the stored dimension names).  ``provenance`` holds the stored
-    ``fingerprint`` and ``metadata``.  ``vectorize`` selects whether the
-    restored model carries its batch ranking kernel.
+    ``fingerprint`` and ``metadata``.
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("format")
@@ -58,9 +57,7 @@ def load_predictor(
         raise ValueError(
             f"unsupported model format {version!r} (expected {FORMAT_VERSION})"
         )
-    predictor = OptimisationPredictor.from_state(
-        payload["model"], space=space, vectorize=vectorize
-    )
+    predictor = OptimisationPredictor.from_state(payload["model"], space=space)
     return predictor, {
         "fingerprint": payload.get("fingerprint"),
         "metadata": payload.get("metadata", {}),

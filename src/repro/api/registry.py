@@ -8,9 +8,9 @@ model files plus one mutable promotion pointer::
             v0001.json       # {"format", "version", "digest", "fingerprint",
             v0002.json       #  "metadata", "model": <predictor state>}
             ...
-        promoted.json        # {"format", "current": 2, "history": [1],
-                             #  "channels": {"default": {"current": 2,
-                             #               "history": [1]}, "tiny": {...}}}
+        promoted.json        # {"format", "channels": {"default":
+                             #   {"current": 2, "history": [1]},
+                             #   "tiny": {...}}}
 
 Model files follow the store-shard rules: written atomically, content
 digested, and never rewritten — :meth:`ModelRegistry.register` allocates
@@ -23,15 +23,12 @@ Promotion is per-**channel**: every channel (``"default"`` unless named)
 has its own current version and rollback history, so one registry can
 serve e.g. a model per scale or per machine space, each promoted and
 rolled back independently — the prediction service routes requests to a
-channel at request time.  The pointer document mirrors the default
-channel under the legacy top-level ``current``/``history`` keys, so
-pointers written before channels existed read back as the default
-channel and old readers keep working.
+channel at request time.  :func:`pointer_channels` and
+:func:`write_pointer` are the one reader and writer of the pointer
+layout; ``repro.faults.fsck`` repairs pointers through them too.
 
-This replaces the ad-hoc ``save_model(path)`` / ``load_model(path)``
-lifecycle for deployments: the prediction service always serves the
-registry's *promoted* model, and promoting/rolling back is a metadata
-flip, never a model rewrite.
+The prediction service always serves the registry's *promoted* model,
+and promoting/rolling back is a metadata flip, never a model rewrite.
 """
 
 from __future__ import annotations
@@ -82,6 +79,35 @@ def validate_channel(channel: str) -> str:
 
 class RegistryError(RuntimeError):
     """A registry entry is missing, corrupt, or from another format."""
+
+
+def pointer_channels(pointer: dict) -> dict[str, dict]:
+    """The per-channel promotion state of a pointer document.
+
+    Tolerant: channel entries that are not mappings are skipped and
+    versions are coerced to ``int``, so a damaged pointer normalises
+    instead of crashing its reader.
+    """
+    return {
+        name: {
+            "current": (
+                None if state.get("current") is None else int(state["current"])
+            ),
+            "history": [int(item) for item in state.get("history", [])],
+        }
+        for name, state in pointer.get("channels", {}).items()
+        if isinstance(state, dict)
+    }
+
+
+def write_pointer(path: Path, channels: dict[str, dict]) -> None:
+    """Atomically replace the promotion pointer at ``path``."""
+    atomic_write_text(
+        path,
+        json.dumps({"format": REGISTRY_FORMAT, "channels": channels}),
+        site="registry.pointer",
+        fsync=True,
+    )
 
 
 def registry_root(cache_directory: str | Path | None = None) -> Path:
@@ -289,15 +315,10 @@ class ModelRegistry:
                 fcntl.flock(handle, fcntl.LOCK_UN)
 
     def _read_promoted(self) -> dict:
-        """The pointer document, normalised to its per-channel form.
-
-        Pointers written before channels existed carry only the legacy
-        top-level ``current``/``history``; those read back as the default
-        channel, so nothing is migrated on disk until the next promote.
-        """
+        """The pointer document, normalised to its per-channel form."""
         path = self._promoted_path()
         if not path.exists():
-            payload = {"format": REGISTRY_FORMAT, "current": None, "history": []}
+            payload = {"format": REGISTRY_FORMAT}
         else:
             try:
                 payload = json.loads(path.read_text())
@@ -308,47 +329,12 @@ class ModelRegistry:
                     f"promotion pointer uses format {payload.get('format')!r}, "
                     f"expected {REGISTRY_FORMAT}"
                 )
-        channels = {
-            name: {
-                "current": (
-                    None if state.get("current") is None else int(state["current"])
-                ),
-                "history": [int(item) for item in state.get("history", [])],
-            }
-            for name, state in payload.get("channels", {}).items()
-        }
-        if DEFAULT_CHANNEL not in channels and (
-            payload.get("current") is not None or payload.get("history")
-        ):
-            channels[DEFAULT_CHANNEL] = {
-                "current": (
-                    None if payload.get("current") is None else int(payload["current"])
-                ),
-                "history": [int(item) for item in payload.get("history", [])],
-            }
-        payload["channels"] = channels
+        payload["channels"] = pointer_channels(payload)
         return payload
 
     def _write_promoted_locked(self, channels: dict) -> None:
-        """Atomically replace the pointer; caller holds the pointer lock.
-
-        The default channel is mirrored into the legacy top-level keys so
-        pre-channel readers of ``promoted.json`` keep working.
-        """
-        default = channels.get(DEFAULT_CHANNEL, {"current": None, "history": []})
-        atomic_write_text(
-            self._promoted_path(),
-            json.dumps(
-                {
-                    "format": REGISTRY_FORMAT,
-                    "current": default["current"],
-                    "history": default["history"],
-                    "channels": channels,
-                }
-            ),
-            site="registry.pointer",
-            fsync=True,
-        )
+        """Atomically replace the pointer; caller holds the pointer lock."""
+        write_pointer(self._promoted_path(), channels)
 
     def promoted_version(self, channel: str = DEFAULT_CHANNEL) -> int | None:
         """The channel's promoted version (``None`` when nothing is)."""
@@ -463,15 +449,14 @@ class ModelRegistry:
         self,
         version: int | None = None,
         space: FlagSpace = DEFAULT_SPACE,
-        vectorize: bool = True,
         channel: str = DEFAULT_CHANNEL,
     ) -> tuple[OptimisationPredictor, ModelVersion]:
         """Rebuild a registered predictor (default: the channel's promoted one).
 
-        With ``vectorize=True`` the model comes back ranking-ready: the
-        promote-time sidecar arrays are attached when present (and valid
-        for this entry's digest), otherwise the tensors are rebuilt from
-        the pairs — bit-identical either way.
+        The model comes back ranking-ready: the promote-time sidecar
+        arrays are attached when present (and valid for this entry's
+        digest), otherwise the tensors are rebuilt from the pairs —
+        bit-identical either way, and stacked once.
         """
         if version is None:
             version = self.promoted_version(channel)
@@ -486,19 +471,10 @@ class ModelRegistry:
             promoted = version in self.channels().values()
         payload = self._read_entry(version)
         predictor = OptimisationPredictor.from_state(
-            payload["model"], space=space, vectorize=False
+            payload["model"],
+            space=space,
+            arrays=self._load_arrays(version, payload["digest"]),
         )
-        if vectorize:
-            arrays = self._load_arrays(version, payload["digest"])
-            try:
-                if arrays is not None:
-                    predictor.ensure_tensors(
-                        features=arrays[0], theta=arrays[1]
-                    )
-                else:
-                    predictor.ensure_tensors()
-            except ValueError:
-                predictor.ensure_tensors()  # stale sidecar shapes: rebuild
         return predictor, ModelVersion(
             version=version,
             digest=payload["digest"],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import Program
 from repro.machine.params import MicroArch
-from repro.search.evaluator import evaluations_to_reach
+from repro.autotune.evaluator import evaluations_to_reach
 from repro.sim.analytic import SimulationResult
 from repro.sim.counters import PerfCounters
 

@@ -4,13 +4,16 @@ The subsystem that connects the paper's three pillars — the iterative
 search baselines, the fitted predictive model, and the vectorised
 simulate-many kernel — into one framework:
 
+* :mod:`~repro.autotune.evaluator` — the memoising per-pair
+  :class:`Evaluator` every search prices candidates through, and the
+  :class:`SearchResult` a run folds to;
 * :mod:`~repro.autotune.core` — :class:`SearchBudget` /
   :class:`SearchTrace` / :class:`SearchContext` and the
   :class:`SearchStrategy` protocol;
 * :mod:`~repro.autotune.scorer` — the budget-enforcing, batch-pricing
   :class:`BatchScorer`;
-* :mod:`~repro.autotune.strategies` — the four legacy searchers,
-  re-homed (``repro.search`` keeps thin bit-identical shims);
+* :mod:`~repro.autotune.strategies` — the four iterative baselines
+  (random, hill climbing, genetic, combined elimination);
 * :mod:`~repro.autotune.guided` — :class:`ModelSeededGenetic` and
   :class:`BeamSearch`, where the model proposes and the simulator
   disposes;
@@ -27,6 +30,7 @@ from repro.autotune.core import (
     run_strategy,
     run_traced,
 )
+from repro.autotune.evaluator import Evaluator, SearchResult, evaluations_to_reach
 from repro.autotune.guided import GUIDED_STRATEGIES, BeamSearch, ModelSeededGenetic
 from repro.autotune.scorer import BatchScorer
 from repro.autotune.strategies import (
@@ -51,6 +55,7 @@ __all__ = [
     "BatchScorer",
     "BeamSearch",
     "CombinedElimination",
+    "Evaluator",
     "GUIDED_STRATEGIES",
     "Genetic",
     "HillClimb",
@@ -58,6 +63,7 @@ __all__ = [
     "RandomSearch",
     "SearchBudget",
     "SearchContext",
+    "SearchResult",
     "SearchStrategy",
     "SearchTrace",
     "StrategyStanding",
@@ -65,6 +71,7 @@ __all__ = [
     "TournamentRun",
     "TraceEntry",
     "check_model_beats_random",
+    "evaluations_to_reach",
     "run_strategy",
     "run_traced",
     "run_tournament",

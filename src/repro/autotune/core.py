@@ -3,7 +3,7 @@
 ``repro.autotune`` unifies iterative compiler search under one framework.
 A *strategy* proposes candidate flag settings; a :class:`BatchScorer`
 (see :mod:`repro.autotune.scorer`) prices them through the memoising
-:class:`~repro.search.evaluator.Evaluator` — batched, so whole
+:class:`~repro.autotune.evaluator.Evaluator` — batched, so whole
 generations ride the vectorised simulate-many kernel — and records every
 candidate into a :class:`SearchTrace`.  The trace is the single source
 of truth for the paper's §5.3 metrics: evaluations-to-match-best and
@@ -12,8 +12,7 @@ simulations consumed.
 Two cost units, deliberately distinct:
 
 * **evaluations** — scored candidates (one :class:`TraceEntry` each,
-  memo hits included).  This is what a :class:`SearchBudget` bounds and
-  what the legacy drivers always counted.
+  memo hits included).  This is what a :class:`SearchBudget` bounds.
 * **simulations** — fresh compile-and-simulate calls (evaluator cache
   misses).  The genuinely costly unit the paper counts; always
   ``simulations <= evaluations``.
@@ -28,26 +27,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
+from repro.autotune.evaluator import Evaluator, SearchResult
+from repro.autotune.scorer import BatchScorer
 from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
 from repro.core.distribution import IIDDistribution
-from repro.search.evaluator import Evaluator, SearchResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.autotune.scorer import BatchScorer
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     """A hard cap on scored candidates (``None`` = run to convergence).
 
-    Matches the legacy drivers' ``budget`` semantics: every scored
-    candidate counts, including evaluator memo hits (which consume no
-    simulation).  The scorer truncates any request that would cross the
-    cap, so the two legacy drivers that could historically overshoot by
-    one at boundary budgets (genetic's last brood, combined
-    elimination's unconditional recheck) are clamped exactly at it.
+    Every scored candidate counts, including evaluator memo hits (which
+    consume no simulation).  The scorer truncates any request that
+    would cross the cap, so strategies that would overshoot at boundary
+    budgets (genetic's last brood, combined elimination's recheck) are
+    clamped exactly at it.
     """
 
     evaluations: int | None
@@ -94,10 +90,9 @@ class TraceEntry:
 class SearchTrace:
     """Every candidate evaluation of one search run, in order.
 
-    Tracks the running best with a strict-``<`` first-wins rule — the
-    exact tie-break every legacy driver used — and folds the best-so-far
-    trajectory the moment each entry is recorded, so the trace and the
-    legacy drivers' trajectories are bit-identical.
+    Tracks the running best with a strict-``<`` first-wins rule and
+    folds the best-so-far trajectory the moment each entry is recorded
+    (pinned by ``tests/golden/search_golden.json``).
     """
 
     def __init__(self, o3_runtime: float | None = None):
@@ -154,7 +149,7 @@ class SearchTrace:
         """First 1-based evaluation index whose best-so-far reaches the
         target, or ``None`` iff it is never reached (see the module-level
         contract pinned on
-        :func:`repro.search.evaluator.evaluations_to_reach`)."""
+        :func:`repro.autotune.evaluator.evaluations_to_reach`)."""
         for entry in self.entries:
             if entry.best_runtime <= target_runtime:
                 return entry.iteration
@@ -168,7 +163,7 @@ class SearchTrace:
         return None
 
     def result(self) -> SearchResult:
-        """The legacy-shaped :class:`SearchResult` of this run."""
+        """The run folded to a :class:`SearchResult`."""
         if self._final is not None:
             best_setting, best_runtime = self._final
         else:
@@ -222,7 +217,7 @@ class SearchStrategy(Protocol):
     #: every seed — the tournament dedupes on this).
     deterministic: bool
 
-    def run(self, scorer: "BatchScorer", context: SearchContext) -> None:
+    def run(self, scorer: BatchScorer, context: SearchContext) -> None:
         """Search until done or until the scorer is exhausted."""
         ...  # pragma: no cover - protocol
 
@@ -237,8 +232,6 @@ def run_traced(
     o3_runtime: float | None = None,
 ) -> SearchTrace:
     """Run one strategy under a scorer-enforced budget; return the trace."""
-    from repro.autotune.scorer import BatchScorer
-
     if not isinstance(budget, SearchBudget):
         budget = SearchBudget(budget)
     trace = SearchTrace(o3_runtime=o3_runtime)
@@ -262,7 +255,7 @@ def run_strategy(
     distribution: IIDDistribution | None = None,
     o3_runtime: float | None = None,
 ) -> SearchResult:
-    """Like :func:`run_traced`, folded to the legacy :class:`SearchResult`."""
+    """Like :func:`run_traced`, folded to a :class:`SearchResult`."""
     return run_traced(
         strategy,
         evaluator,

@@ -2,12 +2,12 @@
 
 Strategies hand the scorer whole batches (a GA generation, a CE probing
 round, a beam) and the scorer prices them in one
-:meth:`~repro.search.evaluator.Evaluator.evaluate_many` pass — one
+:meth:`~repro.autotune.evaluator.Evaluator.evaluate_many` pass — one
 compile per uncached canonical setting plus a single vectorised
 simulate-many call — instead of candidate-at-a-time scalar simulation.
-Results are bit-identical to the sequential path (the PR-5 kernel
-guarantee), so re-homing the legacy drivers onto the scorer changes
-their cost, not their answers.
+Results are bit-identical to sequential :meth:`Evaluator.evaluate`
+calls (the vector kernel's guarantee), so batching changes a search's
+cost, not its answers.
 
 Budget enforcement lives here, not in the strategies: any request that
 would cross the budget is truncated to the remaining allowance, so
@@ -16,11 +16,13 @@ would cross the budget is truncated to the remaining allowance, so
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.autotune.core import SearchBudget, SearchTrace
+from repro.autotune.evaluator import Evaluator
 from repro.compiler.flags import FlagSetting
-from repro.search.evaluator import Evaluator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.autotune.core import SearchBudget, SearchTrace
 
 
 class BatchScorer:

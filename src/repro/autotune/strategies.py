@@ -1,15 +1,12 @@
-"""The four iterative-compilation baselines, re-homed as strategies.
+"""The four iterative-compilation baselines (the paper's comparators).
 
-Each class reproduces its legacy ``repro.search`` driver *bit for bit*
-(pinned by ``tests/golden/search_golden.json``): identical RNG draw
-sequences, identical evaluation order, identical tie-breaks.  What
-changed is the plumbing — candidates flow through the
-:class:`~repro.autotune.scorer.BatchScorer`, so independent batches
-(a random sample, a GA generation, a CE probing round) are priced in
-one vector-kernel pass, and the budget is enforced centrally.  The one
-observable divergence is deliberate: the legacy genetic and combined
-elimination drivers could overshoot their budget by one evaluation at
-boundary budgets; the scorer clamps both exactly at it.
+Each class is pinned bit for bit by ``tests/golden/search_golden.json``:
+RNG draw sequences, evaluation order and tie-breaks.  Candidates flow
+through the :class:`~repro.autotune.scorer.BatchScorer`, so independent
+batches (a random sample, a GA generation, a CE probing round) are
+priced in one vector-kernel pass, and the budget is enforced centrally:
+genetic's last brood and combined elimination's recheck are clamped
+exactly at it.
 """
 
 from __future__ import annotations
@@ -100,7 +97,7 @@ class Genetic:
     selection, uniform crossover, per-dimension mutation, elitism of
     one.  Each generation is bred in full, then priced as one batch —
     the elite's re-score is a memo hit, costing an evaluation but no
-    simulation, exactly as the legacy driver counted it."""
+    simulation."""
 
     name = "genetic"
     deterministic = False
@@ -148,9 +145,8 @@ class Genetic:
             scored = sorted(zip(fitness, range(len(population))))
             elite = population[scored[0][1]]
             next_population = [elite]
-            # The legacy breeding condition, `spent + len(next) <= budget`,
-            # rewritten in scorer terms; the scorer's truncation clamps
-            # the one-past-budget brood the legacy driver allowed.
+            # Breed while `spent + len(next) <= budget`; the scorer's
+            # truncation clamps a brood that would cross the budget.
             while (
                 len(next_population) < self.population_size
                 and len(next_population) <= scorer.remaining

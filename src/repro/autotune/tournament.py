@@ -39,7 +39,7 @@ from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
 from repro.core.distribution import IIDDistribution
 from repro.machine.params import MicroArch
-from repro.search.evaluator import Evaluator
+from repro.autotune.evaluator import Evaluator
 
 #: Default competitor line-up: the four re-homed baselines plus the two
 #: model-guided strategies, in leaderboard-stable order.

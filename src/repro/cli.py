@@ -47,7 +47,7 @@ from repro.api import (
     registry_root,
 )
 from repro.evalrun import resolve_artifacts, variants_for_artifacts
-from repro.experiments.dataset import adopt_legacy_cache, store_root
+from repro.experiments.dataset import store_root
 from repro.store import StoreError
 from repro.experiments import (
     beta_sweep,
@@ -178,9 +178,6 @@ def _run_store(args, parser) -> int:
     # settings) is sampled once and shard sidecars are only re-scanned
     # where the answer can have changed.
     store = session.data.store()
-    adopted = adopt_legacy_cache(session.scale, store, args.cache_dir)
-    if adopted and not args.quiet:
-        print(f"adopted {adopted} shards from the legacy single-file cache")
     status = store.status()
     if status.complete:
         print(f"dataset already complete ({status.total_shards} shards)")
@@ -489,22 +486,14 @@ def _worker(args, parser) -> int:
         from repro.evalrun import EvaluationPipeline
 
         pipeline = EvaluationPipeline(
-            data.training,
-            data.programs,
-            store,
-            compiler=session.compiler,
-            vectorize=session.vectorize,
+            data.training, data.programs, store, compiler=session.compiler
         )
         queue = FoldQueue(pipeline, variant_keys)
     else:
         from repro.store import ExperimentRunner
 
         store = session.data.store()
-        runner = ExperimentRunner(
-            store,
-            compiler=session.compiler,
-            vectorize=session.vectorize,
-        )
+        runner = ExperimentRunner(store, compiler=session.compiler)
         queue = ShardQueue(runner)
     worker = ClusterWorker(
         queue,

@@ -10,6 +10,12 @@ z-normalised features) and returns its mode (eq. 1).
 Leave-one-out evaluation excludes every training pair sharing the test
 pair's program *or* machine at query time (§5.1.1), so the model never
 consults data from the program or microarchitecture it is predicting for.
+
+Predictions run through the batched ranking kernel of
+:mod:`repro.core.vector`.  :func:`reference_predict_distribution` and
+:func:`reference_neighbours` are the plain scalar loops it must match
+float for float; only the equivalence tests and the benchmark gates call
+them.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ class OptimisationPredictor:
         quantile: float = DEFAULT_QUANTILE,
         extended: bool = False,
         feature_mode: str = "both",
-        vectorize: bool = True,
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1: {k}")
@@ -63,7 +68,6 @@ class OptimisationPredictor:
         self.quantile = quantile
         self.extended = extended
         self.feature_mode = feature_mode
-        self.vectorize = vectorize
         self._pairs: list[_TrainingPair] = []
         self._normaliser: FeatureNormaliser | None = None
         self._mask: np.ndarray | None = None
@@ -120,29 +124,28 @@ class OptimisationPredictor:
     def is_fitted(self) -> bool:
         return bool(self._pairs)
 
-    def _refresh_tensors(self) -> None:
-        if self.vectorize and self._pairs:
-            self._tensors = model_vector.PredictorTensors.from_pairs(
-                self._pairs, self.space
-            )
-        else:
-            self._tensors = None
-
-    def ensure_tensors(
-        self,
-        features: np.ndarray | None = None,
-        theta: np.ndarray | None = None,
+    def _refresh_tensors(
+        self, arrays: tuple[np.ndarray, np.ndarray] | None = None
     ) -> None:
-        """Attach (or rebuild) the batch-kernel tensors.
+        """Stack the pairs into the ranking kernel's tensors.
 
-        The registry calls this with its precomputed promote-time sidecar
-        arrays so a loaded model is ranking-ready without re-stacking.
+        ``arrays`` are precomputed ``(features, theta)`` stacks (the
+        registry's promote-time sidecar), used when their shapes still
+        fit the pairs; otherwise the tensors are rebuilt from the pairs.
         """
-        if not self.is_fitted:
-            raise RuntimeError("predictor is not fitted")
-        self.vectorize = True
+        if not self._pairs:
+            self._tensors = None
+            return
+        if arrays is not None:
+            try:
+                self._tensors = model_vector.PredictorTensors.from_pairs(
+                    self._pairs, self.space, *arrays
+                )
+                return
+            except ValueError:
+                pass  # stale sidecar shapes: rebuild
         self._tensors = model_vector.PredictorTensors.from_pairs(
-            self._pairs, self.space, features=features, theta=theta
+            self._pairs, self.space
         )
 
     # ----------------------------------------------------------- persistence
@@ -182,9 +185,15 @@ class OptimisationPredictor:
 
     @staticmethod
     def from_state(
-        state: dict, space: FlagSpace = DEFAULT_SPACE, vectorize: bool = True
+        state: dict,
+        space: FlagSpace = DEFAULT_SPACE,
+        arrays: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "OptimisationPredictor":
-        """Rebuild a fitted predictor from :meth:`get_state` output."""
+        """Rebuild a fitted predictor from :meth:`get_state` output.
+
+        ``arrays`` optionally supplies the ranking tensors' precomputed
+        ``(features, theta)`` stacks, so the tensors are stacked once.
+        """
         if list(state["space_names"]) != list(space.names):
             raise ValueError(
                 "saved model's flag space does not match this build"
@@ -197,7 +206,6 @@ class OptimisationPredictor:
             quantile=float(params["quantile"]),
             extended=bool(params["extended"]),
             feature_mode=str(params["feature_mode"]),
-            vectorize=vectorize,
         )
         predictor._mask = np.array(state["mask"], dtype=bool)
         predictor._normaliser = FeatureNormaliser(
@@ -218,7 +226,7 @@ class OptimisationPredictor:
             )
             for entry in state["pairs"]
         ]
-        predictor._refresh_tensors()
+        predictor._refresh_tensors(arrays)
         return predictor
 
     def _query_vector(
@@ -242,45 +250,18 @@ class OptimisationPredictor:
         exclude_program: str | None,
         exclude_machine: MicroArch | None,
     ) -> np.ndarray:
-        """Indices of every training row a prediction may consult.
+        """Indices of every training row a prediction may consult, in
+        ascending order.
 
         The single gate between the memorised training rows and any
-        prediction — the scalar *and* vectorised paths of
-        :meth:`predict_distribution` and :meth:`neighbours` all select
-        through it, exactly once per query, so instrumenting (or
-        auditing) this method observes *all* training data the model can
-        possibly touch.  The leave-one-out leakage guard relies on that.
-
-        Both branches return the same indices in the same (ascending)
-        order: the id-mask compares dense program/machine ids, the python
-        loop compares the objects themselves.
+        prediction — :meth:`predict_distribution`, its batched forms and
+        :meth:`neighbours` all select through it, exactly once per query,
+        so instrumenting (or auditing) this method observes *all*
+        training data the model can possibly touch.  The leave-one-out
+        leakage guard relies on that.
         """
-        if self._tensors is not None:
-            mask = self._tensors.candidate_mask(exclude_program, exclude_machine)
-            return np.nonzero(mask)[0]
-        return np.array(
-            [
-                index
-                for index, pair in enumerate(self._pairs)
-                if (exclude_program is None or pair.program != exclude_program)
-                and (
-                    exclude_machine is None or pair.machine != exclude_machine
-                )
-            ],
-            dtype=np.intp,
-        )
-
-    def _candidates(
-        self,
-        exclude_program: str | None,
-        exclude_machine: MicroArch | None,
-    ) -> list[_TrainingPair]:
-        """The training rows a prediction may consult, exclusions applied
-        (selected through the :meth:`_candidate_indices` audit gate)."""
-        return [
-            self._pairs[int(index)]
-            for index in self._candidate_indices(exclude_program, exclude_machine)
-        ]
+        mask = self._tensors.candidate_mask(exclude_program, exclude_machine)
+        return np.nonzero(mask)[0]
 
     # ------------------------------------------------------------ prediction
     def predict_distribution(
@@ -293,42 +274,19 @@ class OptimisationPredictor:
     ) -> IIDDistribution:
         """q(y|x*): the weighted mixture of the K nearest pairs (eq. 6).
 
-        The scalar reference implementation; with ``vectorize=True`` the
-        call routes through the batched kernel (a one-row batch), which is
-        bit-identical by construction and proven so by
-        ``tests/test_model_vector.py``.
+        A one-row batch through the ranking kernel, bit-identical to
+        :func:`reference_predict_distribution` (proven by
+        ``tests/test_model_vector.py``).
         """
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted")
-        if self._tensors is not None:
-            return self._predict_distribution_batch(
-                [counters],
-                [machine],
-                [exclude_program],
-                [exclude_machine],
-                [code_features],
-            )[0]
-        query = self._query_vector(counters, machine, code_features)
-
-        candidates = self._candidates(exclude_program, exclude_machine)
-        if not candidates:
-            raise RuntimeError("no training pairs left after exclusions")
-
-        distances = np.array(
-            [float(np.linalg.norm(pair.features - query)) for pair in candidates]
-        )
-        order = np.argsort(distances, kind="stable")[: self.k]
-        nearest = [candidates[int(index)] for index in order]
-        nearest_distances = distances[order]
-
-        # eq. 6: w_k = exp(-β d_k) / Σ exp(-β d_j), computed stably.
-        logits = -self.beta * (nearest_distances - nearest_distances.min())
-        weights = np.exp(logits)
-        weights /= weights.sum()
-
-        return IIDDistribution.mix(
-            [pair.distribution for pair in nearest], list(weights)
-        )
+        return self._predict_distribution_batch(
+            [counters],
+            [machine],
+            [exclude_program],
+            [exclude_machine],
+            [code_features],
+        )[0]
 
     def predict(
         self,
@@ -418,8 +376,7 @@ class OptimisationPredictor:
         whole batch, bit-identical to the scalar loop.
 
         Exclusion/code-feature lists are per-query and optional (``None``
-        broadcasts ``None`` to every query).  Falls back to the scalar
-        loop when the model was built with ``vectorize=False``.
+        broadcasts ``None`` to every query).
         """
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted")
@@ -429,11 +386,6 @@ class OptimisationPredictor:
         )
         if not args[1]:
             return []
-        if self._tensors is None:
-            return [
-                self.predict_distribution(c, m, ep, em, cf)
-                for c, m, ep, em, cf in zip(*args)
-            ]
         return self._predict_distribution_batch(*args)
 
     def predict_many(
@@ -488,29 +440,90 @@ class OptimisationPredictor:
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted")
         query = self._query_vector(counters, machine, code_features)
-        if self._tensors is not None:
-            indices = self._candidate_indices(exclude_program, exclude_machine)
-            if indices.size == 0:
-                raise RuntimeError("no training pairs left after exclusions")
-            top, top_distances = model_vector.nearest_neighbours(
-                self._tensors, query, indices, self.k
-            )
-            return [
-                (
-                    self._pairs[int(index)].program,
-                    self._pairs[int(index)].machine,
-                    float(distance),
-                )
-                for index, distance in zip(top, top_distances)
-            ]
-        candidates = self._candidates(exclude_program, exclude_machine)
-        if not candidates:
+        indices = self._candidate_indices(exclude_program, exclude_machine)
+        if indices.size == 0:
             raise RuntimeError("no training pairs left after exclusions")
-        distances = np.array(
-            [float(np.linalg.norm(pair.features - query)) for pair in candidates]
+        top, top_distances = model_vector.nearest_neighbours(
+            self._tensors, query, indices, self.k
         )
-        order = np.argsort(distances, kind="stable")[: self.k]
         return [
-            (candidates[int(i)].program, candidates[int(i)].machine, float(distances[int(i)]))
-            for i in order
+            (
+                self._pairs[int(index)].program,
+                self._pairs[int(index)].machine,
+                float(distance),
+            )
+            for index, distance in zip(top, top_distances)
         ]
+
+
+# --------------------------------------------------------- scalar references
+def _reference_nearest(
+    predictor: OptimisationPredictor,
+    counters: PerfCounters,
+    machine: MicroArch,
+    exclude_program: str | None,
+    exclude_machine: MicroArch | None,
+    code_features,
+) -> tuple[list[_TrainingPair], np.ndarray]:
+    """The K nearest pairs and their distances, one pair at a time.
+
+    Exclusions compare the pair objects themselves, where the kernel
+    compares dense ids.
+    """
+    if not predictor.is_fitted:
+        raise RuntimeError("predictor is not fitted")
+    query = predictor._query_vector(counters, machine, code_features)
+    candidates = [
+        pair
+        for pair in predictor._pairs
+        if (exclude_program is None or pair.program != exclude_program)
+        and (exclude_machine is None or pair.machine != exclude_machine)
+    ]
+    if not candidates:
+        raise RuntimeError("no training pairs left after exclusions")
+    distances = np.array(
+        [float(np.linalg.norm(pair.features - query)) for pair in candidates]
+    )
+    order = np.argsort(distances, kind="stable")[: predictor.k]
+    return [candidates[int(index)] for index in order], distances[order]
+
+
+def reference_predict_distribution(
+    predictor: OptimisationPredictor,
+    counters: PerfCounters,
+    machine: MicroArch,
+    exclude_program: str | None = None,
+    exclude_machine: MicroArch | None = None,
+    code_features=None,
+) -> IIDDistribution:
+    """Scalar reference for :meth:`OptimisationPredictor.predict_distribution`."""
+    nearest, distances = _reference_nearest(
+        predictor, counters, machine, exclude_program, exclude_machine,
+        code_features,
+    )
+    # eq. 6: w_k = exp(-β d_k) / Σ exp(-β d_j), computed stably.
+    logits = -predictor.beta * (distances - distances.min())
+    weights = np.exp(logits)
+    weights /= weights.sum()
+    return IIDDistribution.mix(
+        [pair.distribution for pair in nearest], list(weights)
+    )
+
+
+def reference_neighbours(
+    predictor: OptimisationPredictor,
+    counters: PerfCounters,
+    machine: MicroArch,
+    exclude_program: str | None = None,
+    exclude_machine: MicroArch | None = None,
+    code_features=None,
+) -> list[tuple[str, MicroArch, float]]:
+    """Scalar reference for :meth:`OptimisationPredictor.neighbours`."""
+    nearest, distances = _reference_nearest(
+        predictor, counters, machine, exclude_program, exclude_machine,
+        code_features,
+    )
+    return [
+        (pair.program, pair.machine, float(distance))
+        for pair, distance in zip(nearest, distances)
+    ]

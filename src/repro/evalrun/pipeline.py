@@ -144,11 +144,10 @@ def _init_protocol_worker(
     training: TrainingSet,
     programs: list[Program],
     variants: list[VariantSpec],
-    vectorize: bool = True,
 ) -> None:
     _WORKER_STATE.clear()
     _WORKER_STATE["training"] = training
-    _WORKER_STATE["oracle"] = RuntimeOracle(training, programs, vectorize=vectorize)
+    _WORKER_STATE["oracle"] = RuntimeOracle(training, programs)
     _WORKER_STATE["variants"] = {variant.key: variant for variant in variants}
     _WORKER_STATE["predictors"] = {}
 
@@ -189,8 +188,6 @@ class EvaluationPipeline:
             shared filesystem) drain the same fold store together.
         compiler: memoising compiler shared by serial/thread fallback
             compilations; process workers build their own.
-        vectorize: batched oracle fallbacks ride the bit-identical
-            vector kernel (default) or the scalar reference.
         lease_ttl: for ``cluster`` only — seconds without a heartbeat
             before this store's leases count as stale and reclaimable.
     """
@@ -203,7 +200,6 @@ class EvaluationPipeline:
         jobs: int | None = 1,
         executor: str = "auto",
         compiler=None,
-        vectorize: bool = True,
         lease_ttl: float | None = None,
     ):
         if executor not in RUNNER_EXECUTORS:
@@ -218,11 +214,8 @@ class EvaluationPipeline:
         self.store = store
         self.jobs = resolve_jobs(jobs)
         self.executor = executor
-        self.vectorize = vectorize
         self.lease_ttl = lease_ttl
-        self.oracle = RuntimeOracle(
-            training, self.programs, compiler=compiler, vectorize=vectorize
-        )
+        self.oracle = RuntimeOracle(training, self.programs, compiler=compiler)
         self._variants = {variant.key: variant for variant in store.variants}
         self._predictors: dict[str, object] = {}
         self._fit_lock = threading.Lock()
@@ -269,12 +262,7 @@ class EvaluationPipeline:
             function = _compute_fold_task
             items = [(key.variant, key.program) for key in pending]
             initializer = _init_protocol_worker
-            initargs = (
-                self.training,
-                self.programs,
-                self.store.variants,
-                self.vectorize,
-            )
+            initargs = (self.training, self.programs, self.store.variants)
         else:
             function = self._compute_fold_local
             items = list(pending)

@@ -12,40 +12,26 @@ completed shards and computes only the rest, and the assembled
 :class:`~repro.core.training.TrainingSet` is bit-identical to a
 single-shot build.
 
-Datasets written by older versions as a single ``.npz`` + JSON sidecar
-remain readable: :func:`load_or_build` falls back to the legacy file
-when no store exists for the scale.
-
 The in-process memoisation is guarded by a lock, so concurrent sessions
 (threads) sharing this module build each dataset exactly once.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from repro.compiler.flags import DEFAULT_SPACE, FlagSetting
+from repro.compiler.flags import DEFAULT_SPACE
 from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
 from repro.core.training import TrainingSet
 from repro.experiments.config import Scale
 from repro.machine.params import MicroArch, MicroArchSpace
 from repro.programs.mibench import mibench_program
-from repro.store import (
-    ExperimentRunner,
-    ExperimentStore,
-    GridSpec,
-    StoreError,
-    StoreStatus,
-)
+from repro.store import ExperimentRunner, ExperimentStore, GridSpec, StoreStatus
 
 
 @dataclass
@@ -144,80 +130,6 @@ def store_status(
     return experiment_store(scale, cache_directory).status()
 
 
-# --------------------------------------------------------- legacy flat cache
-def _save(path: Path, training: TrainingSet) -> None:
-    """Write the legacy single-file cache (kept for tooling/tests)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = dict(
-        runtimes=training.runtimes,
-        o3_runtimes=training.o3_runtimes,
-        counters=training.counters,
-    )
-    if training.code_features is not None:
-        arrays["code_features"] = training.code_features
-    np.savez_compressed(path.with_suffix(".npz"), **arrays)
-    sidecar = {
-        "program_names": training.program_names,
-        "machines": [dataclasses.asdict(machine) for machine in training.machines],
-        "settings": [list(setting.as_indices()) for setting in training.settings],
-        "extended": training.extended,
-        "metadata": training.metadata,
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar))
-
-
-def _load(path: Path) -> TrainingSet | None:
-    """Read a legacy single-file cache, if one exists."""
-    npz_path = path.with_suffix(".npz")
-    json_path = path.with_suffix(".json")
-    if not npz_path.exists() or not json_path.exists():
-        return None
-    sidecar = json.loads(json_path.read_text())
-    arrays = np.load(npz_path)
-    return TrainingSet(
-        program_names=list(sidecar["program_names"]),
-        machines=[MicroArch(**fields) for fields in sidecar["machines"]],
-        settings=[
-            FlagSetting.from_indices(indices) for indices in sidecar["settings"]
-        ],
-        runtimes=arrays["runtimes"],
-        o3_runtimes=arrays["o3_runtimes"],
-        counters=arrays["counters"],
-        extended=bool(sidecar["extended"]),
-        metadata=dict(sidecar["metadata"]),
-        code_features=(
-            arrays["code_features"] if "code_features" in arrays else None
-        ),
-    )
-
-
-def _legacy_path(scale: Scale, cache_directory: str | Path | None) -> Path:
-    return cache_dir(cache_directory) / f"training-{scale.name}-{scale.fingerprint()}"
-
-
-def adopt_legacy_cache(
-    scale: Scale,
-    store: ExperimentStore,
-    cache_directory: str | Path | None = None,
-) -> int:
-    """Fill a store's pending shards from the legacy single-file cache.
-
-    Bit-exact with computed shards, so a store can absorb a dataset
-    written by an older release instead of recomputing it.  Returns the
-    number of shards adopted (0 when there is no usable legacy file or
-    nothing is pending).
-    """
-    if store.is_complete():
-        return 0
-    legacy = _load(_legacy_path(scale, cache_directory))
-    if legacy is None:
-        return 0
-    try:
-        return store.adopt(legacy)
-    except StoreError:
-        return 0  # legacy data from another grid: compute instead
-
-
 # ------------------------------------------------------------------- builds
 def _build_training(
     scale: Scale,
@@ -230,19 +142,9 @@ def _build_training(
     executor: str,
     store: ExperimentStore | None = None,
 ) -> TrainingSet:
-    """Resolve a scale's training set: store > legacy file > fresh build."""
+    """Resolve a scale's training set: complete the store, then assemble."""
     if store is None and use_disk_cache:
-        # Consult the legacy single-file cache before materialising a
-        # store directory: a legacy-only cache keeps serving without the
-        # side effect of an empty (and misleading) all-pending store.
-        if not store_root(scale, cache_directory).exists():
-            legacy = _load(_legacy_path(scale, cache_directory))
-            if legacy is not None:
-                return legacy
         store = experiment_store(scale, cache_directory)
-        # A store directory already on disk (empty or partial) absorbs a
-        # matching legacy cache instead of recomputing its shards.
-        adopt_legacy_cache(scale, store, cache_directory)
     elif store is None:
         store = ExperimentStore(grid_for_scale(scale), root=None)
 

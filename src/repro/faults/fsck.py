@@ -524,30 +524,13 @@ def scrub_registry(root: Path, repair: bool, report: FsckReport) -> None:
                 scrubber.note(pointer_path, store, "pointer", "ok")
 
 
-def _pointer_channels(pointer: dict) -> dict[str, dict]:
-    channels = {
-        name: {
-            "current": state.get("current"),
-            "history": [int(item) for item in state.get("history", [])],
-        }
-        for name, state in pointer.get("channels", {}).items()
-        if isinstance(state, dict)
-    }
-    if "default" not in channels and (
-        pointer.get("current") is not None or pointer.get("history")
-    ):
-        channels["default"] = {
-            "current": pointer.get("current"),
-            "history": [int(item) for item in pointer.get("history", [])],
-        }
-    return channels
-
-
 def _broken_channels(pointer: dict, valid_versions: set[int]) -> list[str]:
+    from repro.api.registry import pointer_channels
+
     broken = []
-    for name, state in _pointer_channels(pointer).items():
-        current = state.get("current")
-        if current is not None and int(current) not in valid_versions:
+    for name, state in pointer_channels(pointer).items():
+        current = state["current"]
+        if current is not None and current not in valid_versions:
             broken.append(name)
         elif any(version not in valid_versions for version in state["history"]):
             broken.append(name)
@@ -556,33 +539,19 @@ def _broken_channels(pointer: dict, valid_versions: set[int]) -> list[str]:
 
 def _rewrite_pointer(path: Path, pointer: dict, valid_versions: set[int]) -> bool:
     """Drop vanished versions from the pointer: history backs current up."""
-    from repro.api.registry import REGISTRY_FORMAT
-    from repro.ioutil import atomic_write_text
+    from repro.api.registry import pointer_channels, write_pointer
 
     channels: dict[str, dict] = {}
-    for name, state in _pointer_channels(pointer).items():
+    for name, state in pointer_channels(pointer).items():
         history = [v for v in state["history"] if v in valid_versions]
-        current = state.get("current")
-        current = int(current) if current is not None else None
+        current = state["current"]
         if current is not None and current not in valid_versions:
             current = history.pop() if history else None
         if current is None and not history:
             continue  # nothing left to promote on this channel
         channels[name] = {"current": current, "history": history}
-    default = channels.get("default", {"current": None, "history": []})
     try:
-        atomic_write_text(
-            path,
-            json.dumps(
-                {
-                    "format": REGISTRY_FORMAT,
-                    "current": default["current"],
-                    "history": default["history"],
-                    "channels": channels,
-                }
-            ),
-            fsync=True,
-        )
+        write_pointer(path, channels)
     except OSError:
         return False
     return True

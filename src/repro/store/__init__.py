@@ -20,7 +20,6 @@ from repro.store.compute import ShardArrays, compute_shard, compute_shard_task
 from repro.store.runner import ExperimentRunner
 from repro.store.store import (
     DEFAULT_CHUNK_MACHINES,
-    atomic_write_text,
     ExperimentStore,
     GridSpec,
     ShardKey,
@@ -38,7 +37,6 @@ __all__ = [
     "ShardKey",
     "StoreError",
     "StoreStatus",
-    "atomic_write_text",
     "compute_shard",
     "compute_shard_task",
     "shard_fingerprint",

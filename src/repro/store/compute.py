@@ -12,7 +12,9 @@ shard and ``S × M`` — the dominant cost of dataset generation.
 :func:`repro.core.training.generate_training_set` (one shard spanning
 every machine) and :class:`repro.store.runner.ExperimentRunner` (one
 shard per machine chunk) call it, which is what keeps sharded, resumed,
-and monolithic builds bit-identical.
+and monolithic builds bit-identical.  :func:`compute_shard_reference`
+is its scalar oracle (one analytic simulation per binary × machine);
+only the equivalence tests and the benchmark gate call it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ def compute_shard(
     machines: Sequence[MicroArch],
     settings: Sequence[FlagSetting],
     compiler: Compiler | None = None,
-    vectorize: bool = True,
 ) -> ShardArrays:
     """One program's training slice over a chunk of machines.
 
@@ -51,33 +52,43 @@ def compute_shard(
     order, by any executor — concatenates back to exactly what a single
     monolithic call would produce.
 
-    ``vectorize`` selects the :func:`repro.sim.vector.simulate_many`
-    kernel: one numpy pass over the whole (binary × machine) grid
-    instead of S×M scalar simulations.  The two paths are bit-identical
-    (the vector kernel's contract), so the flag is purely a performance
-    knob; ``False`` keeps the scalar reference loop.
+    The whole (binary × machine) grid is priced in one
+    :func:`repro.sim.vector.simulate_many` pass.
     """
+    active_compiler, o3_binary, code_features = _o3_baseline(program, compiler)
+    binaries = [o3_binary] + [
+        active_compiler.compile(program, setting) for setting in settings
+    ]
+    results = simulate_many(
+        [BinarySignature.from_binary(binary) for binary in binaries],
+        MachineMatrix.from_machines(machines),
+    )
+    o3_runtimes = results.seconds[0, :].copy()
+    counters = results.counters[0, :, :].copy()
+    runtimes = results.seconds[1:, :].copy()
+    return runtimes, o3_runtimes, counters, code_features
+
+
+def _o3_baseline(program: Program, compiler: Compiler | None):
+    """The active compiler, the -O3 binary, and its static code features."""
     from repro.core.code_features import static_code_features
 
     active_compiler = compiler if compiler is not None else Compiler()
-    S, M = len(settings), len(machines)
-
     o3_binary = active_compiler.compile(program, o3_setting())
     code_features = np.asarray(static_code_features(o3_binary), dtype=float)
+    return active_compiler, o3_binary, code_features
 
-    if vectorize:
-        binaries = [o3_binary] + [
-            active_compiler.compile(program, setting) for setting in settings
-        ]
-        results = simulate_many(
-            [BinarySignature.from_binary(binary) for binary in binaries],
-            MachineMatrix.from_machines(machines),
-        )
-        o3_runtimes = results.seconds[0, :].copy()
-        counters = results.counters[0, :, :].copy()
-        runtimes = results.seconds[1:, :].copy()
-        return runtimes, o3_runtimes, counters, code_features
 
+def compute_shard_reference(
+    program: Program,
+    machines: Sequence[MicroArch],
+    settings: Sequence[FlagSetting],
+    compiler: Compiler | None = None,
+) -> ShardArrays:
+    """Scalar reference for :func:`compute_shard`: one
+    :func:`~repro.sim.analytic.simulate_analytic` call per pair."""
+    active_compiler, o3_binary, code_features = _o3_baseline(program, compiler)
+    S, M = len(settings), len(machines)
     runtimes = np.empty((S, M), dtype=float)
     o3_runtimes = np.empty(M, dtype=float)
     counters = np.empty((M, len(COUNTER_NAMES)), dtype=float)
@@ -110,11 +121,9 @@ def compute_shard_task(
     The caller's compiler cannot cross the process boundary, so each
     worker keeps its own memoised compiler — results are identical to
     serial ones (compilation is deterministic) even for non-default
-    compilers.  A sixth ``vectorize`` slot is optional (older callers
-    ship five-tuples) and defaults to the kernel path.
+    compilers.
     """
-    program, machines, settings, space, cache = work[:5]
-    vectorize = work[5] if len(work) > 5 else True
+    program, machines, settings, space, cache = work
     key = (space.specs, cache)
     if _WORKER_STATE.get("key") != key:
         _WORKER_STATE["key"] = key
@@ -123,10 +132,4 @@ def compute_shard_task(
     elif _WORKER_STATE.get("program") != program.name:
         _WORKER_STATE["compiler"].clear_cache()
         _WORKER_STATE["program"] = program.name
-    return compute_shard(
-        program,
-        machines,
-        settings,
-        _WORKER_STATE["compiler"],
-        vectorize=vectorize,
-    )
+    return compute_shard(program, machines, settings, _WORKER_STATE["compiler"])

@@ -40,12 +40,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.ioutil import (
-    DEFAULT_RETRY,
-    atomic_write_bytes,
-    atomic_write_text,
-    tmp_sibling,
-)
+from repro.ioutil import DEFAULT_RETRY, atomic_write_bytes, atomic_write_text
 
 from repro.compiler.flags import FlagSetting
 from repro.core.training import TrainingSet
@@ -551,9 +546,9 @@ class ExperimentStore:
         Slices a complete :class:`TrainingSet` over this grid into the
         store's pending shards — the inverse of :meth:`assemble`, and
         bit-exact with shards computed directly (the digests match).
-        Lets a store absorb a dataset produced elsewhere (another
-        session's memoised build, a legacy single-file cache) instead of
-        recomputing it.  Returns the number of shards written.
+        Lets a session's store absorb a dataset another session already
+        built and memoised in this process, instead of recomputing it.
+        Returns the number of shards written.
         """
         grid = self.grid
         if (
@@ -636,7 +631,3 @@ def shard_fingerprint(arrays: Sequence[np.ndarray]) -> str:
     for array in arrays:
         digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
     return digest.hexdigest()[:16]
-
-
-# ``tmp_sibling`` and ``atomic_write_text`` moved to :mod:`repro.ioutil`
-# (shared with every durable store); re-exported above for back-compat.

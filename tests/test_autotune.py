@@ -11,7 +11,11 @@ from repro.autotune import (
     ALL_STRATEGIES,
     BatchScorer,
     BeamSearch,
+    CombinedElimination,
+    Evaluator,
     GUIDED_STRATEGIES,
+    Genetic,
+    HillClimb,
     ModelSeededGenetic,
     RandomSearch,
     SearchBudget,
@@ -27,29 +31,26 @@ from repro.compiler.flags import DEFAULT_SPACE, o3_setting
 from repro.core.distribution import IIDDistribution
 from repro.machine.xscale import xscale
 from repro.programs import mibench_program
-from repro.search import (
-    Evaluator,
-    combined_elimination,
-    genetic_search,
-    hill_climb,
-    random_search,
-)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "search_golden.json").read_text()
 )
 
 LEGACY_DRIVERS = {
-    "random": lambda ev, p: random_search(ev, p["budget"], p["seed"]),
-    "hillclimb": lambda ev, p: hill_climb(ev, p["budget"], p["seed"]),
-    "genetic": lambda ev, p: genetic_search(
+    "random": lambda ev, p: run_strategy(
+        RandomSearch(), ev, p["budget"], seed=p["seed"]
+    ),
+    "hillclimb": lambda ev, p: run_strategy(
+        HillClimb(), ev, p["budget"], seed=p["seed"]
+    ),
+    "genetic": lambda ev, p: run_strategy(
+        Genetic(population_size=p.get("population_size", 20)),
         ev,
         p["budget"],
-        p["seed"],
-        population_size=p.get("population_size", 20),
+        seed=p["seed"],
     ),
-    "combined-elimination": lambda ev, p: combined_elimination(
-        ev, budget=p.get("budget")
+    "combined-elimination": lambda ev, p: run_strategy(
+        CombinedElimination(), ev, p.get("budget")
     ),
 }
 
@@ -175,16 +176,16 @@ class TestBatchScorer:
         assert not scorer.exhausted
 
 
-# ----------------------------------------------- golden shim bit-identity
+# ---------------------------------------------------- golden bit-identity
 @pytest.mark.parametrize(
     "case",
     GOLDEN["cases"],
     ids=[f"{c['algorithm']}-{c['program']}" for c in GOLDEN["cases"]],
 )
 def test_legacy_shims_bit_identical_to_golden(case):
-    """The re-homed strategies reproduce the legacy drivers exactly:
-    same evaluations, same fresh-simulation count, same best setting,
-    same trajectory to the last bit."""
+    """The strategies reproduce the recorded search runs exactly: same
+    evaluations, same fresh-simulation count, same best setting, same
+    trajectory to the last bit."""
     evaluator = make_evaluator(case["program"])
     result = LEGACY_DRIVERS[case["algorithm"]](evaluator, case["params"])
     assert result.evaluations == case["evaluations"]

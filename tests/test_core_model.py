@@ -17,7 +17,7 @@ from repro.core.features import (
     feature_vector,
     split_feature_vector,
 )
-from repro.core.predictor import OptimisationPredictor
+from repro.core.predictor import OptimisationPredictor, reference_neighbours
 from repro.machine.xscale import xscale
 from repro.sim.counters import COUNTER_NAMES, PerfCounters
 
@@ -259,22 +259,22 @@ class TestPredictor:
         with pytest.raises(RuntimeError):
             predictor.predict(_counters(), xscale())
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_unfitted_neighbours_raises_cleanly(self, vectorize):
+    def test_unfitted_neighbours_raises_cleanly(self):
         """Regression: neighbours() used to skip the is_fitted guard and
         die with AttributeError on the missing normaliser."""
-        predictor = OptimisationPredictor(vectorize=vectorize)
+        predictor = OptimisationPredictor()
         with pytest.raises(RuntimeError, match="not fitted"):
             predictor.neighbours(_counters(), xscale())
+        with pytest.raises(RuntimeError, match="not fitted"):
+            reference_neighbours(predictor, _counters(), xscale())
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_neighbours_exhausted_candidates_raise(self, tiny_data, vectorize):
+    def test_neighbours_exhausted_candidates_raise(self, tiny_data):
         """Regression: neighbours() used to return [] silently where
         predict_distribution raises when exclusions empty the candidates."""
         training = tiny_data.training
-        predictor = OptimisationPredictor(
-            extended=training.extended, vectorize=vectorize
-        ).fit(training)
+        predictor = OptimisationPredictor(extended=training.extended).fit(
+            training
+        )
         only = training.program_names[0]
         predictor._pairs = [
             pair for pair in predictor._pairs if pair.program == only
@@ -284,6 +284,10 @@ class TestPredictor:
         with pytest.raises(RuntimeError, match="no training pairs"):
             predictor.neighbours(
                 counters, tiny_data.machines[0], exclude_program=only
+            )
+        with pytest.raises(RuntimeError, match="no training pairs"):
+            reference_neighbours(
+                predictor, counters, tiny_data.machines[0], exclude_program=only
             )
 
     def test_invalid_k_rejected(self):

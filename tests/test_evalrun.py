@@ -5,7 +5,7 @@ The load-bearing guarantees, each tested directly:
 * the fold store is append-only, digest-verified, and resumable;
 * the oracle answers grid settings from the store-assembled matrix with
   zero simulation and memoises the out-of-grid fallback;
-* `run_protocol` output is bit-identical across serial/thread/process
+* `protocol.run` output is bit-identical across serial/thread/process
   executors and across a kill-and-resume cycle, with zero re-simulation
   of folds already checkpointed (the simulation-call counter);
 * the report renderer subsets artifacts and refuses missing variants.
@@ -282,7 +282,7 @@ class TestRunProtocolSession:
         assert payload["headline"]["mean_best_speedup"] >= 1.0
 
     def test_figures_consume_pipeline_output(self, tiny_data, tiny_protocol):
-        """After run_protocol, run_crossval serves the checkpointed base
+        """After protocol.run, run_crossval serves the checkpointed base
         variant — figures and tables consume pipeline output."""
         from repro.experiments.figures import run_crossval
 
@@ -290,8 +290,8 @@ class TestRunProtocolSession:
 
     def test_max_folds_cap_returns_incomplete(self, tiny_data):
         session = Session("tiny", use_disk_cache=False)
-        store = session.protocol_store(tiny_data)
-        outcome = session.run_protocol(
+        store = session.protocol.store(tiny_data)
+        outcome = session.protocol.run(
             only=SUBSET, max_folds=2, store=store
         )
         assert not outcome.complete
@@ -301,8 +301,8 @@ class TestRunProtocolSession:
 
     def test_only_subset_runs_no_extra_folds(self, tiny_data):
         session = Session("tiny", use_disk_cache=False)
-        store = session.protocol_store(tiny_data)
-        outcome = session.run_protocol(only="fig4,table2", store=store)
+        store = session.protocol.store(tiny_data)
+        outcome = session.protocol.run(only="fig4,table2", store=store)
         assert outcome.complete
         # fig4/table2 need no folds at all: nothing computed, nothing
         # simulated, and the report still renders.

@@ -22,7 +22,8 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.dataset import _load, _save, load_or_build
+from repro.experiments.dataset import experiment_store, load_or_build
+from repro.store import ExperimentStore
 
 
 class TestScales:
@@ -66,18 +67,14 @@ class TestDataset:
         assert again is tiny_data
 
     def test_disk_roundtrip(self, tiny_data, tmp_path):
-        path = tmp_path / "training-test"
-        _save(path, tiny_data.training)
-        loaded = _load(path)
-        assert loaded is not None
+        store = experiment_store(tiny_data.scale, tmp_path)
+        store.adopt(tiny_data.training)
+        loaded = ExperimentStore(store.grid, root=store.root).assemble()
         assert loaded.program_names == tiny_data.training.program_names
         assert loaded.machines == tiny_data.training.machines
         assert loaded.settings == tiny_data.training.settings
         assert np.allclose(loaded.runtimes, tiny_data.training.runtimes)
         assert np.allclose(loaded.counters, tiny_data.training.counters)
-
-    def test_load_missing_returns_none(self, tmp_path):
-        assert _load(tmp_path / "nope") is None
 
 
 class TestStaticExperiments:

@@ -1,4 +1,4 @@
-"""Session API v2: facets, deprecation shims, and warning-clean examples."""
+"""Session API v2: facets and warning-clean examples."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.api.session as session_module
 from repro.api import (
     DataFacet,
     EvalFacet,
@@ -52,13 +51,6 @@ class TestFacetConstruction:
         assert fitted.models.fingerprint == fitted.model_fingerprint
         assert fitted.model_fingerprint is not None
 
-    def test_eval_facet_matches_flat_surface(self, session, machine):
-        via_facet = session.eval.evaluate("sha", machine)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_shim = session.evaluate("sha", machine)
-        assert via_facet == via_shim
-
     def test_eval_batch_round_trip(self, session, machine):
         results = session.eval.batch(
             [EvaluationRequest("sha", machine), ("crc", machine)]
@@ -95,32 +87,6 @@ class TestFacetConstruction:
         assert seen[0][1] == 1 and seen[1][1] == 2
         assert seen[0][2] == seen[1][2]  # stable total
 
-
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self, monkeypatch):
-        monkeypatch.setattr(session_module, "_DEPRECATION_WARNED", set())
-
-    def test_flat_method_warns_once_per_process(self, session, machine):
-        with pytest.warns(DeprecationWarning, match="session.eval.evaluate"):
-            session.evaluate("sha", machine)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session.evaluate("sha", machine)  # second call: silent
-
-    def test_each_shim_warns_independently(self, fitted, machine):
-        with pytest.warns(DeprecationWarning, match="models.predict"):
-            fitted.predict("sha", machine, evaluate=False)
-        with pytest.warns(DeprecationWarning, match="eval.search"):
-            fitted.search(program="sha", machine=machine, budget=3)
-
-    def test_shim_results_identical_to_facets(self, fitted, machine, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flat_path = fitted.save_model(tmp_path / "flat.json")
-        facet_path = fitted.models.save(tmp_path / "facet.json")
-        assert flat_path.read_text() == facet_path.read_text()
-
     def test_facet_calls_never_warn(self, fitted, machine):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -129,7 +95,7 @@ class TestDeprecationShims:
             fitted.data.status()
 
 
-#: Flat spellings that must not appear in the migrated examples.
+#: Flat spellings, from before the facets, that examples must not use.
 _DEPRECATED_SPELLINGS = tuple(
     f".{name}("
     for name in (

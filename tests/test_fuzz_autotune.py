@@ -16,12 +16,11 @@ counts *scored candidates*, memo hits included.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autotune import ALL_STRATEGIES, GUIDED_STRATEGIES, run_traced
+from repro.autotune import ALL_STRATEGIES, GUIDED_STRATEGIES, Evaluator, run_traced
 from repro.compiler.flags import DEFAULT_SPACE
 from repro.core.distribution import IIDDistribution
 from repro.machine.xscale import xscale
 from repro.programs import mibench_program
-from repro.search import Evaluator
 
 _EVALUATOR = Evaluator(program=mibench_program("crc"), machine=xscale())
 _DISTRIBUTION = IIDDistribution.fit(

@@ -193,6 +193,7 @@ class TestConcurrentAccess:
                 [(str(registry.root), version) for version in versions],
             )
         state = json.loads((registry.root / "promoted.json").read_text())
+        state = state["channels"]["default"]
         assert state["current"] in versions
         assert len(state["history"]) == len(versions) - 1
         assert sorted(state["history"] + [state["current"]]) == versions
@@ -213,5 +214,6 @@ class TestConcurrentAccess:
         assert registry.rollback().version == versions[0]
         # The pointer file survived every flip as valid JSON.
         state = json.loads((registry.root / "promoted.json").read_text())
+        state = state["channels"]["default"]
         assert state["current"] == versions[0]
         assert state["history"] == []

@@ -5,13 +5,14 @@ import pytest
 from repro.compiler.flags import o3_setting
 from repro.machine.xscale import xscale
 from repro.programs import mibench_program
-from repro.search import (
+from repro.autotune import (
+    CombinedElimination,
     Evaluator,
+    Genetic,
+    HillClimb,
+    RandomSearch,
     SearchResult,
-    combined_elimination,
-    genetic_search,
-    hill_climb,
-    random_search,
+    run_strategy,
 )
 
 
@@ -44,41 +45,41 @@ class TestEvaluator:
 
 class TestRandomSearch:
     def test_budget_respected(self, evaluator):
-        result = random_search(evaluator, budget=25, seed=3)
+        result = run_strategy(RandomSearch(), evaluator, 25, seed=3)
         assert result.evaluations == 25
         assert len(result.trajectory) == 25
 
     def test_trajectory_monotone(self, evaluator):
-        result = random_search(evaluator, budget=25, seed=3)
+        result = run_strategy(RandomSearch(), evaluator, 25, seed=3)
         assert all(
             later <= earlier
             for earlier, later in zip(result.trajectory, result.trajectory[1:])
         )
 
     def test_best_matches_trajectory_floor(self, evaluator):
-        result = random_search(evaluator, budget=25, seed=3)
+        result = run_strategy(RandomSearch(), evaluator, 25, seed=3)
         assert result.best_runtime == pytest.approx(result.trajectory[-1])
 
     def test_deterministic(self):
-        one = random_search(
-            Evaluator(mibench_program("sha"), xscale()), budget=15, seed=5
+        one = run_strategy(
+            RandomSearch(), Evaluator(mibench_program("sha"), xscale()), 15, seed=5
         )
-        two = random_search(
-            Evaluator(mibench_program("sha"), xscale()), budget=15, seed=5
+        two = run_strategy(
+            RandomSearch(), Evaluator(mibench_program("sha"), xscale()), 15, seed=5
         )
         assert one.best_setting == two.best_setting
 
     def test_larger_budget_no_worse(self):
-        small = random_search(
-            Evaluator(mibench_program("sha"), xscale()), budget=10, seed=5
+        small = run_strategy(
+            RandomSearch(), Evaluator(mibench_program("sha"), xscale()), 10, seed=5
         )
-        large = random_search(
-            Evaluator(mibench_program("sha"), xscale()), budget=40, seed=5
+        large = run_strategy(
+            RandomSearch(), Evaluator(mibench_program("sha"), xscale()), 40, seed=5
         )
         assert large.best_runtime <= small.best_runtime
 
     def test_evaluations_to_reach(self, evaluator):
-        result = random_search(evaluator, budget=25, seed=3)
+        result = run_strategy(RandomSearch(), evaluator, 25, seed=3)
         index = result.evaluations_to_reach(result.best_runtime)
         assert index is not None
         assert 1 <= index <= 25
@@ -86,19 +87,19 @@ class TestRandomSearch:
 
     def test_invalid_budget(self, evaluator):
         with pytest.raises(ValueError):
-            random_search(evaluator, budget=0, seed=1)
+            run_strategy(RandomSearch(), evaluator, 0, seed=1)
 
 
 class TestHillClimb:
     def test_budget_respected(self):
         evaluator = Evaluator(mibench_program("sha"), xscale())
-        result = hill_climb(evaluator, budget=30, seed=2)
+        result = run_strategy(HillClimb(), evaluator, 30, seed=2)
         assert result.evaluations <= 30
         assert result.best_setting is not None
 
     def test_trajectory_monotone(self):
         evaluator = Evaluator(mibench_program("sha"), xscale())
-        result = hill_climb(evaluator, budget=30, seed=2)
+        result = run_strategy(HillClimb(), evaluator, 30, seed=2)
         assert all(
             later <= earlier
             for earlier, later in zip(result.trajectory, result.trajectory[1:])
@@ -108,13 +109,13 @@ class TestHillClimb:
 class TestGenetic:
     def test_budget_respected(self):
         evaluator = Evaluator(mibench_program("sha"), xscale())
-        result = genetic_search(evaluator, budget=40, seed=4, population_size=8)
+        result = run_strategy(Genetic(population_size=8), evaluator, 40, seed=4)
         assert result.evaluations <= 41
         assert result.best_setting is not None
 
     def test_improves_over_first_generation(self):
         evaluator = Evaluator(mibench_program("susan_e"), xscale())
-        result = genetic_search(evaluator, budget=60, seed=4, population_size=10)
+        result = run_strategy(Genetic(population_size=10), evaluator, 60, seed=4)
         first_generation_best = min(result.trajectory[:10])
         assert result.best_runtime <= first_generation_best
 
@@ -122,14 +123,14 @@ class TestGenetic:
 class TestCombinedElimination:
     def test_only_disables_harmful_flags(self):
         evaluator = Evaluator(mibench_program("tiffdither"), xscale())
-        result = combined_elimination(evaluator, budget=120)
+        result = run_strategy(CombinedElimination(), evaluator, 120)
         # CE starts from everything-on and can only improve on it.
         all_on_runtime = result.trajectory[0]
         assert result.best_runtime <= all_on_runtime
 
     def test_trajectory_monotone(self):
         evaluator = Evaluator(mibench_program("tiffdither"), xscale())
-        result = combined_elimination(evaluator, budget=120)
+        result = run_strategy(CombinedElimination(), evaluator, 120)
         assert all(
             later <= earlier
             for earlier, later in zip(result.trajectory, result.trajectory[1:])
@@ -141,9 +142,9 @@ class TestBaselineComparison:
         program = mibench_program("susan_e")
         results = {}
         for name, driver in [
-            ("random", lambda ev: random_search(ev, budget=40, seed=1)),
-            ("hill", lambda ev: hill_climb(ev, budget=40, seed=1)),
-            ("ga", lambda ev: genetic_search(ev, budget=40, seed=1)),
+            ("random", lambda ev: run_strategy(RandomSearch(), ev, 40, seed=1)),
+            ("hill", lambda ev: run_strategy(HillClimb(), ev, 40, seed=1)),
+            ("ga", lambda ev: run_strategy(Genetic(), ev, 40, seed=1)),
         ]:
             evaluator = Evaluator(program, xscale())
             results[name] = driver(evaluator).best_runtime

@@ -190,18 +190,18 @@ class TestStructuralEdges:
 
 class TestRewiredCallSites:
     def test_compute_shard_vector_matches_scalar(self):
-        from repro.store.compute import compute_shard
+        from repro.store.compute import compute_shard, compute_shard_reference
 
         program = mibench_program("search")
         machines = MicroArchSpace().sample(6, seed=4)
         settings_list = DEFAULT_SPACE.sample_many(4, seed=11)
-        vector = compute_shard(program, machines, settings_list, vectorize=True)
-        scalar = compute_shard(program, machines, settings_list, vectorize=False)
+        vector = compute_shard(program, machines, settings_list)
+        scalar = compute_shard_reference(program, machines, settings_list)
         for got, want in zip(vector, scalar):
             assert np.array_equal(got, want)
 
     def test_evaluator_batch_matches_sequential(self):
-        from repro.search.evaluator import Evaluator
+        from repro.autotune import Evaluator
 
         machine = MicroArchSpace().sample(1, seed=8)[0]
         settings_list = DEFAULT_SPACE.sample_many(6, seed=21)
@@ -220,51 +220,79 @@ class TestRewiredCallSites:
         assert again == many
         assert batched.evaluations == len(settings_list)
 
-    def test_vectorize_false_pins_the_scalar_reference(self, monkeypatch):
-        """With the kernel poisoned, a vectorize=False session must still
-        run every hot path — proof the knob really selects the scalar
-        reference implementation everywhere, not just in eval.batch."""
+    def test_scalar_references_never_touch_the_kernel(
+        self, monkeypatch, tiny_data
+    ):
+        """With the kernel poisoned, every scalar reference still runs —
+        the per-item batch, sequential evaluator, shard, and oracle
+        paths — proof the oracles share no code with the kernel they
+        check."""
         from repro.api import Session
+        from repro.autotune import Evaluator
+        from repro.evalrun.oracle import RuntimeOracle
+        from repro.store.compute import compute_shard_reference
 
         def boom(*args, **kwargs):
-            raise AssertionError("vector kernel used despite vectorize=False")
+            raise AssertionError("vector kernel used by a scalar reference")
 
         for target in (
             "repro.sim.vector.simulate_many",
             "repro.store.compute.simulate_many",
             "repro.evalrun.oracle.simulate_many",
             "repro.api.backends.simulate_grid",
-            "repro.search.evaluator.simulate_grid",
+            "repro.autotune.evaluator.simulate_grid",
         ):
             module_name, attr = target.rsplit(".", 1)
             module = __import__(module_name, fromlist=[attr])
             monkeypatch.setattr(module, attr, boom)
 
-        session = Session("tiny", use_disk_cache=False, vectorize=False)
+        session = Session("tiny", use_disk_cache=False)
         machine = session.machines(1, seed=13)[0]
-        batch = session.eval.batch(
-            [("crc", machine), ("sha", machine)]
+        items = [session.eval.evaluate(name, machine) for name in ("crc", "sha")]
+        assert len(items) == 2
+        with pytest.raises(AssertionError, match="vector kernel"):
+            session.eval.batch([("crc", machine), ("sha", machine)])
+
+        evaluator = Evaluator(program=mibench_program("crc"), machine=machine)
+        settings_list = DEFAULT_SPACE.sample_many(4, seed=2)
+        assert len([evaluator.evaluate(s) for s in settings_list]) == 4
+
+        training = tiny_data.training
+        runtimes, o3_runtimes, counters, _ = compute_shard_reference(
+            tiny_data.programs[0], training.machines, training.settings
         )
-        assert len(batch) == 2
-        outcome = session.eval.search(
-            program="crc", machine=machine, algorithm="random",
-            budget=4, seed=2,
-        )
-        assert outcome.evaluations >= 4
-        session.data.build()  # scalar compute_shard on every shard
+        assert np.array_equal(runtimes, training.runtimes[0])
+        assert np.array_equal(o3_runtimes, training.o3_runtimes[0])
+        assert np.array_equal(counters, training.counters[0])
+
+        oracle = RuntimeOracle(training, tiny_data.programs)
+        off_grid = DEFAULT_SPACE.sample_many(1, seed=991)[0]
+        program = training.program_names[0]
+        each = [
+            oracle.runtime(program, off_grid, machine)
+            for machine in training.machines
+        ]
+        assert len(each) == len(training.machines)
+
+    def test_oracle_runtime_many_matches_sequential(self, tiny_data):
         from repro.evalrun.oracle import RuntimeOracle
 
-        data = session.data.dataset()
-        oracle = RuntimeOracle(data.training, data.programs, vectorize=False)
-        from repro.compiler.flags import DEFAULT_SPACE
-
-        off_grid = DEFAULT_SPACE.sample_many(1, seed=991)[0]
-        runtimes = oracle.runtime_many(
-            data.training.program_names[0],
-            [off_grid] * len(data.training.machines),
-            data.training.machines,
-        )
-        assert len(runtimes) == len(data.training.machines)
+        training = tiny_data.training
+        off_grid = DEFAULT_SPACE.sample_many(2, seed=991)
+        settings_list = [off_grid[m % 2] for m in range(len(training.machines))]
+        settings_list += [training.settings[0], off_grid[0]]
+        machines = list(training.machines) + list(training.machines[:2])
+        program = training.program_names[0]
+        batched = RuntimeOracle(training, tiny_data.programs)
+        sequential = RuntimeOracle(training, tiny_data.programs)
+        many = batched.runtime_many(program, settings_list, machines)
+        each = [
+            sequential.runtime(program, setting, machine)
+            for setting, machine in zip(settings_list, machines)
+        ]
+        assert many == each
+        assert batched.simulation_calls == sequential.simulation_calls
+        assert batched.store_hits == sequential.store_hits
 
     def test_eval_facet_batch_vector_path(self):
         from repro.api import Session
@@ -277,10 +305,7 @@ class TestRewiredCallSites:
             for machine in machines
         ]
         fast = session.eval.batch(requests)
-        slow_session = Session(
-            scale="tiny", use_disk_cache=False, vectorize=False
-        )
-        slow = slow_session.eval.batch(requests)
+        slow = [session.eval.evaluate(*request) for request in requests]
         for got, want in zip(fast, slow):
             assert got.runtime == want.runtime
             assert got.simulation.counters == want.simulation.counters

@@ -10,8 +10,6 @@ from repro.compiler.pipeline import Compiler
 from repro.core.training import generate_training_set
 from repro.experiments.config import Scale
 from repro.experiments.dataset import (
-    _legacy_path,
-    _save,
     clear_memory_cache,
     experiment_store,
     grid_for_scale,
@@ -377,82 +375,6 @@ class TestDatasetIntegration:
         finally:
             clear_memory_cache()
 
-    def test_legacy_single_file_cache_still_readable(
-        self, tmp_path, smoke_reference
-    ):
-        clear_memory_cache()
-        try:
-            _save(_legacy_path(SMOKE, tmp_path), smoke_reference)
-            data = load_or_build(SMOKE, cache_directory=tmp_path)
-            # Served from the legacy file: not even an empty store
-            # directory is created as a side effect.
-            assert not store_root(SMOKE, tmp_path).exists()
-            assert data.training.fingerprint() == smoke_reference.fingerprint()
-        finally:
-            clear_memory_cache()
-
-    def test_partial_store_beats_legacy_file(
-        self, tmp_path, smoke_programs, smoke_reference
-    ):
-        """Shards already computed win over the legacy fallback — their
-        work is finished rather than thrown away."""
-        clear_memory_cache()
-        try:
-            doctored = smoke_reference.runtimes.copy()
-            doctored[0, 0, 0] *= 2.0  # distinguishable legacy content
-            import dataclasses as dc
-
-            legacy = dc.replace(smoke_reference, runtimes=doctored)
-            _save(_legacy_path(SMOKE, tmp_path), legacy)
-            store = experiment_store(SMOKE, tmp_path)
-            ExperimentRunner(store, programs=smoke_programs).run(max_shards=1)
-            data = load_or_build(SMOKE, cache_directory=tmp_path)
-            assert data.training.fingerprint() == smoke_reference.fingerprint()
-        finally:
-            clear_memory_cache()
-
-    def test_empty_store_dir_adopts_matching_legacy(
-        self, tmp_path, smoke_reference
-    ):
-        """A store directory with zero shards (e.g. from a status-less
-        'run' that died instantly) absorbs the legacy cache on load."""
-        clear_memory_cache()
-        try:
-            _save(_legacy_path(SMOKE, tmp_path), smoke_reference)
-            experiment_store(SMOKE, tmp_path)  # materialise an empty store
-            data = load_or_build(SMOKE, cache_directory=tmp_path)
-            assert data.training.fingerprint() == smoke_reference.fingerprint()
-            assert experiment_store(SMOKE, tmp_path).is_complete()
-        finally:
-            clear_memory_cache()
-
-    def test_adopt_legacy_cache_helper(self, tmp_path, smoke_reference):
-        """The helper the CLI 'run' command uses to absorb legacy caches."""
-        from repro.experiments.dataset import adopt_legacy_cache
-
-        _save(_legacy_path(SMOKE, tmp_path), smoke_reference)
-        store = experiment_store(SMOKE, tmp_path)
-        assert adopt_legacy_cache(SMOKE, store, tmp_path) == store.grid.n_shards
-        assert store.is_complete()
-        assert adopt_legacy_cache(SMOKE, store, tmp_path) == 0
-
-    def test_partial_store_adopts_matching_legacy(
-        self, tmp_path, smoke_programs, smoke_reference
-    ):
-        """A legacy cache whose grid matches fills a partial store's
-        pending shards instead of being recomputed."""
-        clear_memory_cache()
-        try:
-            _save(_legacy_path(SMOKE, tmp_path), smoke_reference)
-            store = experiment_store(SMOKE, tmp_path)
-            ExperimentRunner(store, programs=smoke_programs).run(max_shards=1)
-            data = load_or_build(SMOKE, cache_directory=tmp_path)
-            assert data.training.fingerprint() == smoke_reference.fingerprint()
-            # The store was completed by adoption, not left partial.
-            assert experiment_store(SMOKE, tmp_path).is_complete()
-        finally:
-            clear_memory_cache()
-
     def test_concurrent_sessions_build_once(self, tmp_path):
         clear_memory_cache()
         try:
@@ -489,14 +411,14 @@ class TestDatasetIntegration:
         from repro.api import Session
 
         session = Session(SMOKE, use_disk_cache=False, cache_dir=tmp_path / "c")
-        assert session.experiment_store().root is None
-        status = session.dataset_status()
+        assert session.data.store().root is None
+        status = session.data.status()
         assert status.root == "<memory>"
         assert not (tmp_path / "c").exists()
 
     def test_session_memory_store_persists_partial_progress(self, tmp_path):
-        """build_dataset progress with use_disk_cache=False survives into
-        dataset_status and is finished (not redone) by dataset()."""
+        """data.build progress with use_disk_cache=False survives into
+        data.status and is finished (not redone) by data.dataset()."""
         from repro.api import Session
 
         clear_memory_cache()
@@ -504,10 +426,10 @@ class TestDatasetIntegration:
             session = Session(
                 SMOKE, use_disk_cache=False, cache_dir=tmp_path / "c"
             )
-            assert session.build_dataset(max_shards=1) == 1
-            assert session.dataset_status().completed_shards == 1
-            store = session.experiment_store()
-            data = session.dataset()
+            assert session.data.build(max_shards=1) == 1
+            assert session.data.status().completed_shards == 1
+            store = session.data.store()
+            data = session.data.dataset()
             # The session's own store was completed in place.
             assert store.is_complete()
             assert (
@@ -546,13 +468,13 @@ class TestDatasetIntegration:
         try:
             first = Session(SMOKE, use_disk_cache=False)
             second = Session(SMOKE, use_disk_cache=False)
-            data1 = first.dataset()
-            data2 = second.dataset()
+            data1 = first.data.dataset()
+            data2 = second.data.dataset()
             assert data2 is data1  # module memo shared across sessions
-            assert second.dataset_status().complete
-            assert second.build_dataset() == 0  # nothing left to compute
+            assert second.data.status().complete
+            assert second.data.build() == 0  # nothing left to compute
             assert (
-                second.experiment_store().assemble().fingerprint()
+                second.data.store().assemble().fingerprint()
                 == data1.training.fingerprint()
             )
         finally:
