@@ -575,6 +575,7 @@ class DataFacet(_Facet):
             jobs=session.jobs,
             executor=session.executor,
             store=store,
+            compiler=session.compiler,
         )
         if store is not None and not store.is_complete():
             # The dataset was memoised by an earlier (possibly other-

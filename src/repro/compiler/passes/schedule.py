@@ -23,6 +23,7 @@ Sub-flags:
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 
 from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import (
@@ -293,6 +294,36 @@ def _apply_order(block: BasicBlock, new_order: list[int], has_terminator: bool) 
     block.instructions = reordered
 
 
+def pressure_and_calls(block: BasicBlock) -> tuple[int, int]:
+    """``block_pressure`` and the block's CALL count, in one sweep.
+
+    Consumers are visited in increasing position, so a producer's last use
+    is simply the last consumer seen.  Each producer then adds one live value
+    at its own position and drops it at its last use; the running sum after
+    each position, ends applied before that position's start, is the live
+    count there, so its maximum is the same peak as sorting the
+    ``(position, ±1)`` events.
+    """
+    instructions = block.instructions
+    last_use: dict[int, int] = {}
+    calls = 0
+    call = Opcode.CALL  # enum member lookups are slow attribute reads
+    for index, insn in enumerate(instructions):
+        if insn.opcode is call:
+            calls += 1
+        for distance, _ in insn.deps:
+            producer = index - distance
+            if producer >= 0:
+                last_use[producer] = index
+    if not last_use:
+        return BASELINE_LIVE, calls
+    delta = [0] * len(instructions)
+    for producer, last in last_use.items():
+        delta[producer] += 1
+        delta[last] -= 1
+    return max(accumulate(delta)) + BASELINE_LIVE, calls
+
+
 def block_pressure(block: BasicBlock) -> int:
     """Maximum simultaneous live values implied by the dependence edges.
 
@@ -300,29 +331,26 @@ def block_pressure(block: BasicBlock) -> int:
     consumer.  ``BASELINE_LIVE`` covers loop-carried values and globals that
     no in-block edge describes.
     """
-    last_use: dict[int, int] = {}
-    for index, insn in enumerate(block.instructions):
-        for distance, _ in insn.deps:
-            producer = index - distance
-            if producer >= 0:
-                last_use[producer] = max(last_use.get(producer, producer), index)
-    events: list[tuple[int, int]] = []
-    for producer, last in last_use.items():
-        events.append((producer, +1))
-        events.append((last, -1))
-    events.sort()
-    live = 0
-    peak = 0
-    for _, delta in events:
-        live += delta
-        peak = max(peak, live)
-    return peak + BASELINE_LIVE
+    return pressure_and_calls(block)[0]
 
 
 class ScheduleInsnsPass(Pass):
-    """``-fschedule-insns`` with interblock and speculative sub-flags."""
+    """``-fschedule-insns`` with interblock and speculative sub-flags.
+
+    With ``memoize`` (the default) the pass keeps every block it has list
+    scheduled, keyed by ``(instructions, allow_speculation)``: that is all
+    ``list_schedule`` reads, and instructions are immutable values, so a
+    block equal to one already scheduled takes the stored order and gives
+    the same binary.  Searches compile the same program under many nearby
+    settings, so almost every block recurs.
+    """
 
     name = "schedule"
+
+    def __init__(self, memoize: bool = True):
+        #: ``(instructions, allow_speculation)`` → the scheduled
+        #: instructions, or ``()`` when the scheduler moved nothing.
+        self.memo: dict[tuple, tuple] | None = {} if memoize else None
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fschedule_insns"])
@@ -333,11 +361,31 @@ class ScheduleInsnsPass(Pass):
         region_cap = (
             MAX_REGION_INSNS if flags["fexpensive_optimizations"] else MAX_REGION_INSNS // 2
         )
+        memo = self.memo
         for function in program.functions.values():
             if interblock:
                 merge_fallthrough_chains(function, stats, region_cap)
             for block in function.blocks.values():
                 if len(block.instructions) < 3 or block.exec_count <= 0:
                     continue
-                if list_schedule(block, allow_speculation):
+                if memo is None:
+                    moved = list_schedule(block, allow_speculation)
+                else:
+                    moved = _memo_schedule(memo, block, allow_speculation)
+                if moved:
                     stats["schedule.blocks_scheduled"] += 1
+
+
+def _memo_schedule(memo: dict, block: BasicBlock, allow_speculation: bool) -> bool:
+    """``list_schedule`` through ``memo``; the block always gets a fresh
+    list, so no compile can change a stored schedule."""
+    key = (tuple(block.instructions), allow_speculation)
+    scheduled = memo.get(key)
+    if scheduled is None:
+        moved = list_schedule(block, allow_speculation)
+        memo[key] = tuple(block.instructions) if moved else ()
+        return moved
+    if not scheduled:
+        return False
+    block.instructions = list(scheduled)
+    return True

@@ -32,8 +32,11 @@ from repro.compiler.passes.unroll import UnrollLoopsPass
 from repro.compiler.regalloc import RegisterAllocationPass
 
 
-def default_pass_order() -> list[Pass]:
-    """The gcc-4.2-like pass schedule used for every compilation."""
+def default_pass_order(memoize: bool = True) -> list[Pass]:
+    """The gcc-4.2-like pass schedule used for every compilation.
+
+    ``memoize`` gives the scheduler its block memo (see ``Compiler``).
+    """
     return [
         TreeVrpPass(),
         TreePrePass(),
@@ -48,7 +51,7 @@ def default_pass_order() -> list[Pass]:
         StrengthReducePass(),
         UnrollLoopsPass(),
         RerunCsePass(),
-        ScheduleInsnsPass(),
+        ScheduleInsnsPass(memoize=memoize),
         RegisterAllocationPass(),
         GcseAfterReloadPass(),
         PeepholePass(),
@@ -65,13 +68,25 @@ class Compiler:
     settings that differ only in dimensions masked by a disabled parent flag
     share one compilation, exactly as they would share one gcc invocation's
     behaviour.
+
+    The same ``cache`` switch gives the scheduling pass a memo of the blocks
+    it has list scheduled, keyed by the block's instructions (see
+    ``ScheduleInsnsPass``).  Settings that differ in any flag still present
+    the scheduler with mostly the same blocks, so every pipeline run reuses
+    it; compiled binaries are identical either way.  ``cache=False`` keeps
+    no growing state at all, and ``clear_cache`` empties both memos.
     """
 
     def __init__(self, space: FlagSpace = DEFAULT_SPACE, cache: bool = True):
         self.space = space
         self._cache_enabled = cache
         self._cache: dict[tuple[str, FlagSetting], CompiledBinary] = {}
-        self._passes = default_pass_order()
+        self._passes = default_pass_order(memoize=cache)
+        self._scheduler = next(
+            optimisation
+            for optimisation in self._passes
+            if isinstance(optimisation, ScheduleInsnsPass)
+        )
 
     def compile(self, program: Program, setting: FlagSetting) -> CompiledBinary:
         """Run the pass pipeline over a fresh copy of ``program``."""
@@ -99,7 +114,10 @@ class Compiler:
         return self._cache_enabled
 
     def cache_info(self) -> dict[str, int]:
-        return {"entries": len(self._cache)}
+        """Memoised binaries (``entries``) and scheduled blocks (``blocks``)."""
+        return {"entries": len(self._cache), "blocks": len(self._scheduler.memo or ())}
 
     def clear_cache(self) -> None:
         self._cache.clear()
+        if self._scheduler.memo is not None:
+            self._scheduler.memo.clear()

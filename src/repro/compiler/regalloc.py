@@ -29,8 +29,8 @@ from repro.compiler.ir import (
     Program,
     TAG_SPILL,
 )
-from repro.compiler.passes.base import Pass, PassStats, insert_instructions
-from repro.compiler.passes.schedule import block_pressure
+from repro.compiler.passes.base import Pass, PassStats
+from repro.compiler.passes.schedule import pressure_and_calls
 
 #: General-purpose registers available to the allocator.
 ALLOCATABLE_REGISTERS = 11
@@ -70,12 +70,9 @@ class RegisterAllocationPass(Pass):
 
     @staticmethod
     def _spill_count(block, regmove: bool, caller_saves: bool) -> int:
-        pressure = block_pressure(block)
+        pressure, calls = pressure_and_calls(block)
         if regmove:
             pressure -= 1
-        calls = sum(
-            1 for insn in block.instructions if insn.opcode is Opcode.CALL
-        )
         available = ALLOCATABLE_REGISTERS
         spilled = max(0, pressure - available)
         if calls:
@@ -113,8 +110,38 @@ class RegisterAllocationPass(Pass):
                     tags=frozenset({TAG_SPILL}),
                 )
             )
-        length = len(block.instructions)
+        # Stores go in at ``store_position`` and reloads at
+        # ``reload_position`` of the original list, stores first when the
+        # two meet; an edge grows by ``spilled`` for each insertion point
+        # between its producer and its consumer.
+        instructions = block.instructions
+        length = len(instructions)
         reload_position = max((2 * length) // 3, 1)
-        insert_instructions(block, reload_position, reloads)
         store_position = min(length // 3, reload_position)
-        insert_instructions(block, store_position, stores)
+        block.instructions = (
+            instructions[:store_position]
+            + stores
+            + [
+                _stretched(instructions[index], index, (store_position,), spilled)
+                for index in range(store_position, reload_position)
+            ]
+            + reloads
+            + [
+                _stretched(
+                    instructions[index], index, (store_position, reload_position), spilled
+                )
+                for index in range(reload_position, length)
+            ]
+        )
+
+
+def _stretched(insn: Instruction, index: int, cuts: tuple[int, ...], count: int):
+    """``insn`` at ``index`` with ``count`` more distance on each dependence
+    whose producer sits before one of the insertion points ``cuts``."""
+    if not insn.deps:
+        return insn
+    new_deps = tuple(
+        (distance + count * sum(1 for cut in cuts if index - distance < cut), kind)
+        for distance, kind in insn.deps
+    )
+    return insn if new_deps == insn.deps else insn.evolve(deps=new_deps)

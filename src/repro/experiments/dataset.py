@@ -174,6 +174,7 @@ def load_or_build(
     jobs: int = 1,
     executor: str = "auto",
     store: ExperimentStore | None = None,
+    compiler: Compiler | None = None,
 ) -> ExperimentData:
     """Return the experiment data for ``scale``, building it if needed.
 
@@ -183,9 +184,16 @@ def load_or_build(
     restarted.  ``cache_directory`` overrides the ``$REPRO_CACHE_DIR``
     default; ``jobs``/``executor`` fan the per-shard work out over the
     chosen pool; an explicit ``store`` (e.g. a session's in-memory
-    store holding partial progress) is completed in place.  None of
+    store holding partial progress) is completed in place.  ``compiler``
+    (default: a fresh one) builds any missing shards and is kept as the
+    data's ``compiler``, which the figures compile through, so a session
+    that passes its own holds one set of compile memos, not two.  None of
     these knobs change the resulting data — the assembled training set
     is bit-identical for every combination.
+
+    Results are memoised process-wide per scale and cache location, so
+    every later call is served the data, and the compiler, of the first
+    call that built it.
     """
     # The memo key covers the persistence configuration, not just the
     # scale: a call pointed at a different cache directory must build
@@ -208,7 +216,8 @@ def load_or_build(
                 return _MEMORY_CACHE[key]
 
         programs = [mibench_program(name) for name in scale.programs]
-        compiler = Compiler()
+        if compiler is None:
+            compiler = Compiler()
         training = _build_training(
             scale,
             programs,

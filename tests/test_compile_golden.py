@@ -10,7 +10,9 @@ here, even when the simulated runtimes happen to agree.
 The grid is all 35 MiBench programs plus three generated programs, each
 compiled under -O3, -O0, eight sampled settings and the Hamming-1
 neighbours of -O3 on six flags that drive the scheduler, the unroller,
-store motion and inlining.  Compilation runs with the memo cache off.
+store motion and inlining.  Compilation runs with the memo cache off; a
+second class compiles the grid again through one memoising compiler whose
+scheduler has already seen every block, and must give the same digests.
 
 The second class guards the IR's sharing: working copies share their
 instruction objects with the source program, so a pass that mutated an
@@ -27,10 +29,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from repro.compiler import pipeline
 from repro.compiler.flags import DEFAULT_SPACE, o0_setting, o3_setting
 from repro.compiler.pipeline import Compiler
 from repro.programs.generator import build_program
@@ -125,6 +130,79 @@ class TestCompileGolden:
             if digests[name][label] != digest
         ]
         assert not mismatched, f"{len(mismatched)} drifted: {mismatched[:10]}"
+
+
+class TestWarmBlockMemo:
+    def test_memo_hits_match_the_golden(self, golden):
+        compiler = Compiler()
+        settings = golden_settings()
+        programs = golden_programs()
+        working_programs = []
+        finalize = pipeline.finalize
+
+        def keep_working(program, setting, stats=None):
+            working_programs.append(program)
+            return finalize(program, setting, stats)
+
+        def drifted():
+            return [
+                f"{name}/{label}"
+                for name, program in programs
+                for label, setting in settings
+                if binary_digest(compiler.compile(program, setting))
+                != golden[name][label]
+            ]
+
+        assert not drifted()
+        blocks = compiler.cache_info()["blocks"]
+        assert blocks > 0
+        # The compiled working programs' blocks hold lists handed out by
+        # the memo; scrambling them must not reach any later compile.
+        with mock.patch.object(pipeline, "finalize", keep_working):
+            compiler._cache.clear()  # keep the block memo, drop the binaries
+            assert not drifted()
+        assert compiler.cache_info()["blocks"] == blocks  # all hits
+        for working in working_programs:
+            for function in working.functions.values():
+                for block in function.blocks.values():
+                    block.instructions.reverse()
+                    block.instructions.extend(block.instructions)
+        compiler._cache.clear()
+        assert not drifted()
+        compiler.clear_cache()
+        assert compiler.cache_info() == {"entries": 0, "blocks": 0}
+
+
+class TestThreadsShareOneCompiler:
+    def test_concurrent_compiles_and_clears_match_the_golden(self, golden):
+        """Thread executors share one compiler, and the runner clears it
+        mid-flight when a build moves to the next program."""
+        compiler = Compiler()
+        work = [
+            (name, label, program, setting)
+            for name, program in golden_programs()
+            for label, setting in golden_settings()
+        ]
+
+        def digest(numbered):
+            index, (name, label, program, setting) = numbered
+            if index % 97 == 0:
+                compiler.clear_cache()
+            return name, label, binary_digest(compiler.compile(program, setting))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = list(pool.map(digest, enumerate(work), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        drifted = [
+            f"{name}/{label}"
+            for name, label, value in results
+            if value != golden[name][label]
+        ]
+        assert len(results) == len(work) and not drifted
 
 
 class TestSourceProgramsUntouched:

@@ -45,6 +45,12 @@ class TestFacetConstruction:
         assert isinstance(fresh.protocol, ProtocolFacet)
         assert set(fresh._facets) == {"data", "models", "eval", "protocol"}
 
+    def test_dataset_keeps_the_session_compiler(self, tmp_path):
+        # A cache directory of its own: the process-wide dataset memo is
+        # keyed by it, so this session is the one that loads the scale.
+        fresh = Session("tiny", cache_dir=tmp_path)
+        assert fresh.data.dataset().compiler is fresh.compiler
+
     def test_facets_share_session_state(self, fitted):
         # The models facet fitted the model; every surface sees it.
         assert fitted.models.model is fitted.model

@@ -350,3 +350,47 @@ class TestHeapSchedulerMatchesReference:
         moved = list_schedule(block, allow_speculation)
         assert moved == moved_reference
         assert block.instructions == reference.instructions
+
+
+class TestBlockMemo:
+    @given(block=_scheduling_blocks(), allow_speculation=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_hit_equals_fresh_schedule(self, block, allow_speculation):
+        fresh = block.clone()
+        moved_fresh = list_schedule(fresh, allow_speculation)
+        memo = {}
+        # The same block under the other speculation mode is another key.
+        schedule._memo_schedule(memo, block.clone(), not allow_speculation)
+        miss = block.clone()
+        assert schedule._memo_schedule(memo, miss, allow_speculation) == moved_fresh
+        hit = block.clone()
+        assert schedule._memo_schedule(memo, hit, allow_speculation) == moved_fresh
+        assert len(memo) == 2
+        assert miss.instructions == hit.instructions == fresh.instructions
+        assert type(hit.instructions) is list
+
+    def test_hit_hands_out_a_fresh_list(self):
+        pass_ = ScheduleInsnsPass()
+        setting = o3_setting().with_values(fno_sched_interblock=True)
+
+        def scheduled_body():
+            program = simple_loop_program(body_insns=10)
+            body = program.functions["main"].blocks["body"]
+            body.instructions.insert(
+                0, Instruction(opcode=Opcode.LOAD, expr="ld0", region="data", stride=4)
+            )
+            body.instructions.insert(
+                1, Instruction(opcode=Opcode.ADD, expr="use0", deps=((1, "load"),))
+            )
+            stats = PassStats()
+            pass_.apply(program, setting, stats)
+            assert stats["schedule.blocks_scheduled"] == 1
+            return body.instructions
+
+        first = scheduled_body()  # a miss
+        second = scheduled_body()  # a hit
+        assert second == first and second is not first
+        expected = list(second)
+        first.clear()
+        second.reverse()
+        assert scheduled_body() == expected

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.compiler.flags import o0_setting, o3_setting
+from repro.compiler.passes.base import PassStats
 from repro.compiler.pipeline import Compiler, default_pass_order
 from repro.programs import mibench_names, mibench_program
 from tests.conftest import simple_loop_program
+from tests.test_compile_golden import golden_programs, golden_settings
 
 
 class TestPassOrder:
@@ -82,8 +84,14 @@ class TestCompiler:
         program = simple_loop_program()
         compiler.compile(program, o3)
         assert compiler.cache_info()["entries"] == 1
+        assert compiler.cache_info()["blocks"] > 0
         compiler.clear_cache()
-        assert compiler.cache_info()["entries"] == 0
+        assert compiler.cache_info() == {"entries": 0, "blocks": 0}
+
+    def test_uncached_compiler_keeps_no_block_memo(self, o3):
+        compiler = Compiler(cache=False)
+        compiler.compile(mibench_program("crc"), o3)
+        assert compiler.cache_info() == {"entries": 0, "blocks": 0}
 
 
 class TestMiBenchCompilation:
@@ -109,3 +117,25 @@ class TestMiBenchCompilation:
         for setting in settings:
             binary = compiler.compile(program, setting)
             assert binary.dyn_insns > 0
+
+
+#: The golden grid's settings checked pass by pass.
+_VALIDITY_LABELS = ("O3", "O0", "sample0", "sample1")
+
+
+class TestEveryPassLeavesAValidProgram:
+    @pytest.mark.parametrize("label", _VALIDITY_LABELS)
+    def test_validate_after_each_pass(self, label):
+        setting = dict(golden_settings())[label].canonical()
+        for name, program in golden_programs():
+            working = program.clone()
+            stats = PassStats()
+            for optimisation in default_pass_order(memoize=False):
+                optimisation.apply(working, setting, stats)
+                try:
+                    working.validate()
+                except ValueError as error:
+                    pytest.fail(
+                        f"pass {optimisation.name!r} left {name} invalid "
+                        f"under {label}: {error}"
+                    )
