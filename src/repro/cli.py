@@ -429,13 +429,7 @@ def _worker(args, parser) -> int:
     over a shared filesystem, and they converge on the byte-identical
     serial result.
     """
-    from repro.cluster import (
-        DEFAULT_LEASE_TTL,
-        ClusterWorker,
-        FoldQueue,
-        ShardQueue,
-        run_local_workers,
-    )
+    from repro.cluster import DEFAULT_LEASE_TTL, ClusterWorker, run_local_workers
 
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be >= 1")
@@ -488,13 +482,13 @@ def _worker(args, parser) -> int:
         pipeline = EvaluationPipeline(
             data.training, data.programs, store, compiler=session.compiler
         )
-        queue = FoldQueue(pipeline, variant_keys)
+        queue = pipeline.queue(variant_keys)
     else:
         from repro.store import ExperimentRunner
 
-        store = session.data.store()
-        runner = ExperimentRunner(store, compiler=session.compiler)
-        queue = ShardQueue(runner)
+        queue = ExperimentRunner(
+            session.data.store(), compiler=session.compiler
+        ).queue()
     worker = ClusterWorker(
         queue,
         worker_id=args.worker_id,

@@ -30,7 +30,7 @@ from repro.cluster.lease import (
     LeaseInfo,
     LeaseTable,
 )
-from repro.cluster.queue import FoldQueue, ShardQueue, WorkQueue
+from repro.cluster.queue import UnitQueue, WorkQueue
 from repro.cluster.status import (
     ClusterStatus,
     WorkerStats,
@@ -47,10 +47,9 @@ __all__ = [
     "ClusterError",
     "ClusterStatus",
     "ClusterWorker",
-    "FoldQueue",
     "LeaseInfo",
     "LeaseTable",
-    "ShardQueue",
+    "UnitQueue",
     "WorkQueue",
     "WorkerReport",
     "WorkerStats",

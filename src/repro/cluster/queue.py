@@ -1,21 +1,24 @@
-"""Work queues: the shard and fold grids viewed as claimable units.
+"""Work queues: a unit store's grid viewed as claimable units.
 
-A :class:`WorkQueue` adapts one resumable store to the worker loop's
-tiny contract — enumerate pending unit ids, check whether one is done,
-execute one — with the store's own manifest as the only source of truth.
-Unit ids are the stores' existing shard stems (``p0000-c0000`` for
-dataset shards, ``variant--program`` for protocol folds), so lease
-files, progress records, and store files all speak the same names.
+A :class:`UnitQueue` adapts any on-disk :class:`~repro.store.units.UnitStore`
+to the worker loop's tiny contract — enumerate pending unit ids, check
+whether one is done, execute one — with the store's own manifest as the
+only source of truth.  Unit ids are the stores' unit stems
+(``p0000-c0000`` for dataset shards, ``variant--program`` for protocol
+folds), so lease files, progress records, and store files all speak the
+same names.  The store's codec owns the layout; what a unit computes is
+the caller's ``compute`` callable (``ExperimentRunner.queue()``,
+``EvaluationPipeline.queue()``).
 
-Queues never talk to the lease table; the worker composes the two.  Both
-queues require an on-disk store (``root`` set) — the shared directory is
+Queues never talk to the lease table; the worker composes the two.  A
+queue requires an on-disk store (``root`` set) — the shared directory is
 what multiple processes coordinate through.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol
 
 from repro.cluster.lease import ClusterError
 
@@ -43,90 +46,46 @@ class WorkQueue(Protocol):
     def execute(self, unit: str) -> dict: ...
 
 
-def _require_root(store, what: str) -> Path:
-    if store.root is None:
-        raise ClusterError(
-            f"cluster execution needs an on-disk {what} (root=None is "
-            f"memory-only; workers coordinate through the store directory)"
-        )
-    return Path(store.root)
+class UnitQueue:
+    """The units of one on-disk unit store, claimable by stem.
 
-
-class ShardQueue:
-    """Dataset-build units: one store shard per unit.
-
-    Wraps an :class:`~repro.store.runner.ExperimentRunner` — the queue
-    computes each claimed shard through the runner's serial path (the
-    memoising compiler still amortises compilation across one worker's
-    consecutive same-program shards) and checkpoints it via the store's
-    ordinary atomic, append-only write.
+    Args:
+        store: the unit store whose pending units are the work.
+        compute: computes and checkpoints one unit by key, returning its
+            counters (``simulation_calls``, ``store_hits``); read-only
+            views such as the status scan pass none.
+        subset: the store's family-specific grid selection (variant keys
+            for a fold store), mirroring the ``--only`` path.
     """
 
-    kind = "shard"
-
-    def __init__(self, runner):
-        self.runner = runner
-        self.store = runner.store
-        root = _require_root(self.store, "experiment store")
-        self.fingerprint = self.store.grid.fingerprint()
-        self.cluster_root = root / CLUSTER_DIR
-        self._keys = {key.stem(): key for key in self.store.grid.shard_keys()}
-        self._settings = list(self.store.grid.settings)
-        self._work = runner._shard_function("serial")
-
-    def total_units(self) -> int:
-        return self.store.grid.n_shards
-
-    def pending_units(self) -> list[str]:
-        return [key.stem() for key in self.store.pending_keys()]
-
-    def is_done(self, unit: str) -> bool:
-        return self.store.has_shard(self._keys[unit])
-
-    def execute(self, unit: str) -> dict:
-        key = self._keys[unit]
-        arrays = self._work(
-            self.runner._work_item(key, self._settings, "serial")
-        )
-        self.store.write_shard(key, arrays)
-        return {"simulation_calls": arrays[0].size}
-
-
-class FoldQueue:
-    """Protocol-run units: one leave-one-out fold per unit.
-
-    Wraps an :class:`~repro.evalrun.pipeline.EvaluationPipeline`; each
-    claimed fold runs through the pipeline's serial fold path (shared
-    oracle, predictors fitted once per variant per worker) and lands via
-    the fold store's atomic write.  ``variants`` restricts the queue to a
-    subset of variant keys, mirroring the pipeline's ``--only`` path.
-    """
-
-    kind = "fold"
-
-    def __init__(self, pipeline, variants: Sequence[str] | None = None):
-        self.pipeline = pipeline
-        self.store = pipeline.store
-        root = _require_root(self.store, "fold store")
-        self.fingerprint = self.store.protocol_fingerprint
-        self.cluster_root = root / CLUSTER_DIR
-        self.variants = list(variants) if variants is not None else None
-        self._keys = {
-            key.stem(): key for key in self.store.fold_keys(self.variants)
-        }
+    def __init__(
+        self,
+        store,
+        compute: Callable[[object], dict] | None = None,
+        subset=None,
+    ):
+        if store.root is None:
+            raise ClusterError(
+                f"cluster execution needs an on-disk {store.codec.family} "
+                f"(root=None is memory-only; workers coordinate through the "
+                f"store directory)"
+            )
+        self.store = store
+        self.compute = compute
+        self.subset = subset
+        self.fingerprint = store.identity
+        self.cluster_root = Path(store.root) / CLUSTER_DIR
+        self.kind = store.codec.payload.kind
+        self.units = {key.stem(): key for key in store.keys(subset)}
 
     def total_units(self) -> int:
-        return len(self._keys)
+        return len(self.units)
 
     def pending_units(self) -> list[str]:
-        return [key.stem() for key in self.store.pending_keys(self.variants)]
+        return [key.stem() for key in self.store.pending_keys(self.subset)]
 
     def is_done(self, unit: str) -> bool:
-        return self.store.has_fold(self._keys[unit])
+        return self.store.has(self.units[unit])
 
     def execute(self, unit: str) -> dict:
-        record, sims, hits = self.pipeline._compute_fold_local(
-            self._keys[unit]
-        )
-        self.store.write_fold(record)
-        return {"simulation_calls": sims, "store_hits": hits}
+        return self.compute(self.units[unit])

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cluster.lease import LEASE_FORMAT, LeaseInfo, LeaseTable, scan_leases
+from repro.cluster.queue import UnitQueue
 from repro.ioutil import atomic_write_text
 
 PROGRESS_DIR = "progress"
@@ -271,42 +272,16 @@ class ClusterStatus:
         return "\n".join(lines)
 
 
-@dataclass
-class _StoreView:
-    """Just enough of the queue protocol for a read-only status scan."""
-
-    kind: str
-    fingerprint: str
-    cluster_root: Path
-    total: int
-    pending: list[str]
-
-    def total_units(self) -> int:
-        return self.total
-
-    def pending_units(self) -> list[str]:
-        return self.pending
-
-
 def store_cluster_status(store, ttl: float) -> "ClusterStatus | None":
-    """Cluster snapshot of an experiment store, ``None`` if never clustered.
+    """Cluster snapshot of a unit store, ``None`` if never clustered.
 
     A read-only sibling of :meth:`ClusterStatus.collect` that needs only
     the store (no runner, no programs) — what the CLI ``status`` command
     calls.  Returns ``None`` when no worker has ever touched the store.
     """
-    from repro.cluster.queue import CLUSTER_DIR
-
     if store.root is None:
         return None
-    cluster_root = Path(store.root) / CLUSTER_DIR
-    if not cluster_root.is_dir():
+    queue = UnitQueue(store)
+    if not queue.cluster_root.is_dir():
         return None
-    view = _StoreView(
-        kind="shard",
-        fingerprint=store.grid.fingerprint(),
-        cluster_root=cluster_root,
-        total=store.grid.n_shards,
-        pending=[key.stem() for key in store.pending_keys()],
-    )
-    return ClusterStatus.collect(view, ttl)
+    return ClusterStatus.collect(queue, ttl)

@@ -1,7 +1,8 @@
 """The fold-level result store: append-only, digest-verified, resumable.
 
-Same shard design as :mod:`repro.store.store`, scaled down to protocol
-folds: one JSON shard per (variant, held-out program) fold under::
+A :class:`FoldStore` is a :class:`~repro.store.units.UnitStore` of
+protocol folds, one per (variant, held-out program).  The fold layout
+lives in :class:`FoldCodec`; under the store root::
 
     protocol-<scale>-<fingerprint>/
         manifest.json            # protocol identity: training fingerprint,
@@ -9,12 +10,11 @@ folds: one JSON shard per (variant, held-out program) fold under::
         folds/
             <variant>--<program>.json
 
-Each shard carries its own content digest and the protocol fingerprint,
-is written atomically (temp file + rename) and never rewritten, so a
-killed protocol run resumes by skipping every fold whose digest checks
-out — and a resumed run assembles to results bit-identical to a
-single-shot run.  With ``root=None`` the store keeps folds in memory:
-same API, nothing on disk.
+Each fold file carries its own content digest and the protocol
+fingerprint and is never rewritten, so a killed protocol run resumes by
+skipping every fold whose digest checks out — and a resumed run
+assembles to results bit-identical to a single-shot run.  With
+``root=None`` the store keeps folds in memory: same API, nothing on disk.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from repro.evalrun.variants import VariantSpec
-from repro.ioutil import DEFAULT_RETRY, atomic_write_text
+from repro.store.units import StoreError, UnitCodec, UnitDamage, UnitFile, UnitStore
 
 #: Manifest/shard schema version; bump on incompatible layout changes.
 FOLD_FORMAT = 1
 
 
-class FoldStoreError(RuntimeError):
+class FoldStoreError(StoreError):
     """A fold store is unusable: wrong protocol, version, or corrupt."""
 
 
@@ -157,17 +157,51 @@ class FoldStoreStatus:
         return "\n".join(lines)
 
 
-class FoldStore:
+class FoldCodec(UnitCodec):
+    """A fold is one JSON file: its record plus the protocol identity and
+    the record's content digest.  Folds are small, so a completion check
+    parses and digests the record."""
+
+    family = "fold-store"
+    format = FOLD_FORMAT
+    unit_dir = "folds"
+    files = (UnitFile(".json", "fold", "fold shard", "fold.shard"),)
+    identity_field = "protocol_fingerprint"
+    identity_name = "protocol"
+    grid_name = "protocol grid"
+    manifest_site = "fold.manifest"
+    probe_decodes = True
+
+    def encode(self, store, key, record, digest):
+        shard = {
+            "format": self.format,
+            "protocol_fingerprint": store.identity,
+            "fingerprint": digest,
+            "record": record.payload(),
+        }
+        return (json.dumps(shard).encode(),)
+
+    def decode(self, paths, header):
+        try:
+            return FoldRecord.from_payload(header["record"])
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise UnitDamage("corrupt", "fold record does not parse") from error
+
+    def digest(self, record):
+        return fold_fingerprint(record)
+
+
+class FoldStore(UnitStore):
     """Checkpointed fold results for one protocol grid.
 
     Completed folds are never rewritten; concurrent writers of the same
-    fold race benignly (identical bytes, atomic rename).  ``grid`` is the
+    fold race benignly (identical bytes, atomic rename).  The grid is the
     full fold axis — every (variant, program) pair of the protocol — and
-    resumability is simply ``pending_keys`` = grid minus verified shards.
+    resumability is simply ``pending_keys`` = grid minus verified folds.
     """
 
-    MANIFEST_NAME = "manifest.json"
-    FOLD_DIR = "folds"
+    codec = FoldCodec()
+    error = FoldStoreError
 
     def __init__(
         self,
@@ -177,55 +211,27 @@ class FoldStore:
         root: str | Path | None = None,
         metadata: dict | None = None,
     ):
-        self.protocol_fingerprint = fingerprint
         self.variants = list(variants)
         self.programs = list(programs)
         self.metadata = dict(metadata or {})
-        self.root = Path(root) if root is not None else None
-        self._memory: dict[FoldKey, FoldRecord] = {}
-        self._known_complete: set[FoldKey] = set()
-        #: Digests of verified shards; filled by the has_fold scan so
-        #: fingerprint() never has to re-read shard files.
-        self._known_digests: dict[FoldKey, str] = {}
-        if self.root is not None:
-            manifest = self._read_manifest()
-            if manifest is None:
-                self._write_manifest()
-            elif manifest["protocol_fingerprint"] != fingerprint:
-                raise FoldStoreError(
-                    f"store at {self.root} holds a different protocol "
-                    f"({manifest['protocol_fingerprint']} != {fingerprint})"
-                )
+        self._open(root, fingerprint)
 
-    # ------------------------------------------------------------- manifest
-    def _read_manifest(self) -> dict | None:
-        path = self.root / self.MANIFEST_NAME
-        if not path.exists():
-            return None
-        manifest = json.loads(path.read_text())
-        if manifest.get("format") != FOLD_FORMAT:
-            raise FoldStoreError(
-                f"store at {self.root} uses format "
-                f"{manifest.get('format')!r}, expected {FOLD_FORMAT}"
-            )
-        return manifest
+    @property
+    def protocol_fingerprint(self) -> str:
+        return self.identity
 
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / self.FOLD_DIR).mkdir(exist_ok=True)
-        manifest = {
-            "format": FOLD_FORMAT,
-            "protocol_fingerprint": self.protocol_fingerprint,
+    def _manifest_fields(self) -> dict:
+        return {
             "variants": [variant.describe() for variant in self.variants],
             "programs": self.programs,
             "metadata": self.metadata,
         }
-        atomic_write_text(
-            self.root / self.MANIFEST_NAME,
-            json.dumps(manifest, indent=1),
-            site="fold.manifest",
-            fsync=True,
-        )
+
+    @classmethod
+    def _manifest_keys(cls, manifest: dict) -> Iterator[FoldKey]:
+        for variant in manifest["variants"]:
+            for program in manifest["programs"]:
+                yield FoldKey(variant["key"], program)
 
     # ----------------------------------------------------------------- grid
     def fold_keys(
@@ -243,157 +249,28 @@ class FoldStore:
             for program in self.programs:
                 yield FoldKey(variant.key, program)
 
+    keys = fold_keys  # the unit store's grid walk; subsets are variant keys
+
     @property
     def n_folds(self) -> int:
         return len(self.variants) * len(self.programs)
 
-    # --------------------------------------------------------------- shards
-    def _fold_path(self, key: FoldKey) -> Path:
-        return self.root / self.FOLD_DIR / f"{key.stem()}.json"
-
-    def has_fold(self, key: FoldKey) -> bool:
-        if self.root is None:
-            return key in self._memory
-        if key in self._known_complete:
-            return True
-        path = self._fold_path(key)
-        if not path.exists():
-            return False
-        # Any unreadable, truncated, schema-malformed, or digest-broken
-        # shard is simply pending: the fold recomputes rather than the
-        # resume crashing on a half-written or foreign file.
-        try:
-            shard = json.loads(path.read_text())
-            if shard.get("protocol_fingerprint") != self.protocol_fingerprint:
-                return False
-            record = FoldRecord.from_payload(shard["record"])
-        except (
-            OSError,
-            json.JSONDecodeError,
-            AttributeError,  # top-level JSON is not even an object
-            KeyError,
-            TypeError,
-            ValueError,
-        ):
-            return False
-        digest = fold_fingerprint(record)
-        if digest != shard.get("fingerprint"):
-            return False
-        self._known_complete.add(key)
-        self._known_digests[key] = digest
-        return True
-
-    def completed_keys(
-        self, variants: Sequence[str] | None = None
-    ) -> list[FoldKey]:
-        return [key for key in self.fold_keys(variants) if self.has_fold(key)]
-
-    def pending_keys(
-        self, variants: Sequence[str] | None = None
-    ) -> list[FoldKey]:
-        return [
-            key for key in self.fold_keys(variants) if not self.has_fold(key)
-        ]
-
-    def is_complete(self, variants: Sequence[str] | None = None) -> bool:
-        return not self.pending_keys(variants)
-
+    # ---------------------------------------------------------------- folds
     def write_fold(self, record: FoldRecord) -> None:
         """Checkpoint one computed fold (atomic; never rewrites)."""
-        key = record.key
-        if key not in set(self.fold_keys()):
-            raise FoldStoreError(f"fold {key.stem()} not in this protocol grid")
-        if self.has_fold(key):
-            return  # append-only: first complete write wins
-        if self.root is None:
-            self._memory[key] = record
-            return
-        digest = fold_fingerprint(record)
-        shard = {
-            "format": FOLD_FORMAT,
-            "protocol_fingerprint": self.protocol_fingerprint,
-            "fingerprint": digest,
-            "record": record.payload(),
-        }
-        atomic_write_text(
-            self._fold_path(key),
-            json.dumps(shard),
-            site="fold.shard",
-            fsync=True,
-            retries=DEFAULT_RETRY,
-        )
-        self._known_complete.add(key)
-        self._known_digests[key] = digest
+        self._put(record.key, record)
 
     def read_fold(self, key: FoldKey, verify: bool = True) -> FoldRecord:
         """Load one fold, verifying its content digest by default."""
-        if self.root is None:
-            try:
-                return self._memory[key]
-            except KeyError:
-                raise FoldStoreError(f"fold {key.stem()} not in store") from None
-        path = self._fold_path(key)
-        if not path.exists():
-            raise FoldStoreError(f"fold {key.stem()} not in store")
-        try:
-            shard = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise FoldStoreError(
-                f"fold {key.stem()} is torn or corrupt ({error}); "
-                f"quarantine with fsck and resume"
-            ) from error
-        if not isinstance(shard, dict):
-            raise FoldStoreError(f"fold {key.stem()} is corrupt: not an object")
-        if shard.get("protocol_fingerprint") != self.protocol_fingerprint:
-            raise FoldStoreError(
-                f"fold {key.stem()} belongs to a different protocol"
-            )
-        record = FoldRecord.from_payload(shard["record"])
-        if verify and fold_fingerprint(record) != shard.get("fingerprint"):
-            raise FoldStoreError(
-                f"fold {key.stem()} is corrupt: digest mismatch"
-            )
-        return record
-
-    def fingerprint(self, variants: Sequence[str] | None = None) -> str:
-        """Content digest over every (requested) fold, in grid order.
-
-        Per-fold digests come from the verification cache the has_fold
-        scan already filled (folds are immutable once written), so this
-        never re-reads shard files.
-        """
-        digest = hashlib.sha256()
-        digest.update(self.protocol_fingerprint.encode())
-        for key in self.fold_keys(variants):
-            if not self.has_fold(key):
-                raise FoldStoreError(
-                    f"cannot fingerprint: fold {key.stem()} missing"
-                )
-            fold_digest = self._known_digests.get(key)
-            if fold_digest is None:  # memory store, or a pre-warmed cache
-                fold_digest = fold_fingerprint(self.read_fold(key))
-                self._known_digests[key] = fold_digest
-            digest.update(fold_digest.encode())
-        return digest.hexdigest()[:16]
+        return self._get(key, verify)
 
     # --------------------------------------------------------------- status
     def status(self) -> FoldStoreStatus:
-        per_variant: dict[str, tuple[int, int]] = {}
-        completed = 0
-        for variant in self.variants:
-            done = sum(
-                1
-                for program in self.programs
-                if self.has_fold(FoldKey(variant.key, program))
-            )
-            per_variant[variant.key] = (done, len(self.programs))
-            completed += done
+        per_variant = self.progress(lambda key: key.variant)
         return FoldStoreStatus(
             root=str(self.root) if self.root is not None else "<memory>",
-            protocol_fingerprint=self.protocol_fingerprint,
+            protocol_fingerprint=self.identity,
             total_folds=self.n_folds,
-            completed_folds=completed,
+            completed_folds=sum(done for done, _ in per_variant.values()),
             per_variant=per_variant,
         )
-
-

@@ -240,7 +240,7 @@ class EvaluationPipeline:
         hook, which the prediction service turns into live NDJSON events.
         """
         requested = list(self.store.fold_keys(variants))
-        pending = [key for key in requested if not self.store.has_fold(key)]
+        pending = [key for key in requested if not self.store.has(key)]
         skipped = len(requested) - len(pending)
         if max_folds is not None:
             pending = pending[: max(max_folds, 0)]
@@ -315,10 +315,10 @@ class EvaluationPipeline:
         """One cluster worker's share of the protocol: claim, compute,
         checkpoint folds through the shared lease table.  Run any number
         of these concurrently against the same fold store root."""
-        from repro.cluster import ClusterWorker, FoldQueue
+        from repro.cluster import ClusterWorker
         from repro.cluster.lease import DEFAULT_LEASE_TTL
 
-        queue = FoldQueue(self, variants)
+        queue = self.queue(variants)
         stats = PipelineRunStats(folds_skipped=skipped)
 
         def on_unit(unit: str, unit_stats: dict) -> None:
@@ -328,10 +328,8 @@ class EvaluationPipeline:
             )
             stats.store_hits += int(unit_stats.get("store_hits", 0))
             if on_fold is not None:
-                completed = total - len(
-                    self.store.pending_keys(queue.variants)
-                )
-                on_fold(queue._keys[unit], completed, total)
+                completed = total - len(self.store.pending_keys(variants))
+                on_fold(queue.units[unit], completed, total)
 
         ClusterWorker(
             queue,
@@ -345,6 +343,19 @@ class EvaluationPipeline:
             on_unit=on_unit,
         ).run()
         return stats
+
+    def queue(self, variants: Sequence[str] | None = None):
+        """This protocol as cluster work: one unit per fold of ``variants``
+        (all by default), computed through the serial fold path (shared
+        oracle, predictors fitted once per variant per worker)."""
+        from repro.cluster import UnitQueue
+
+        def checkpoint(key: FoldKey) -> dict:
+            record, sims, hits = self._compute_fold_local(key)
+            self.store.write_fold(record)
+            return {"simulation_calls": sims, "store_hits": hits}
+
+        return UnitQueue(self.store, checkpoint, variants)
 
     def _predictor_for(self, variant_key: str):
         with self._fit_lock:

@@ -9,10 +9,10 @@ makes damage visible and repair explicit:
 * every artifact of every store under the cache root is classified —
   ``ok``, ``torn-tail`` (truncated/zero-byte payloads), ``digest-mismatch``
   (bytes that parse but fail their recorded content digest),
-  ``orphaned`` (sidecars without arrays, leftover temp files, pointer
-  entries naming missing versions, reclaim tombstones), ``stale-lease``
-  (claims whose owner stopped heartbeating), or ``corrupt`` (everything
-  else unreadable);
+  ``orphaned`` (sidecars without arrays, units outside the store's
+  grid, leftover temp files, pointer entries naming missing versions,
+  reclaim tombstones), ``stale-lease`` (claims whose owner stopped
+  heartbeating), or ``corrupt`` (everything else unreadable);
 * with ``--repair``, damaged artifacts are *quarantined* — moved into a
   ``quarantine/`` directory inside the store, never deleted — except
   where a cheaper exact repair exists (torn journal tails truncate to
@@ -20,6 +20,12 @@ makes damage visible and repair explicit:
   delete; a promotion pointer naming vanished versions rewrites from
   its own history).  After repair the next resume rebuilds exactly the
   damaged units and re-simulates nothing that was intact.
+
+The dataset and protocol stores scrub themselves: their on-disk layout
+lives in their unit codecs, and :meth:`repro.store.units.UnitStore.scrub`
+classifies every unit through those codecs, so this module only picks
+the family of each store directory.  The registry, the job journals and
+the cluster lease tables keep their own scrubbers here.
 
 Everything is read-only unless ``repair=True``.
 """
@@ -30,7 +36,7 @@ import json
 import re
 import time
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +138,7 @@ class FsckReport:
         return "\n".join(lines)
 
 
-class _Scrubber:
+class Scrubber:
     """Shared walking/repair machinery for one scrub pass."""
 
     def __init__(self, root: Path, repair: bool, report: FsckReport):
@@ -204,7 +210,7 @@ def _quarantine(path: Path, store_root: Path) -> Path | None:
     return target
 
 
-def _read_json(path: Path):
+def read_json(path: Path):
     """Parse JSON, or ``None`` when unreadable/unparseable."""
     try:
         return json.loads(path.read_text())
@@ -212,206 +218,18 @@ def _read_json(path: Path):
         return None
 
 
-def _is_zero(path: Path) -> bool:
+def is_zero(path: Path) -> bool:
     try:
         return path.stat().st_size == 0
     except OSError:
         return False
 
 
-# ------------------------------------------------------------ experiment store
-def scrub_experiment_store(root: Path, repair: bool, report: FsckReport, ttl: float) -> None:
-    from repro.store.store import STORE_FORMAT, _SHARD_ARRAY_NAMES, shard_fingerprint
-
-    scrubber = _Scrubber(root, repair, report)
-    store = f"experiment-store {root.name}"
-    manifest_path = root / "manifest.json"
-    manifest = _read_json(manifest_path)
-    grid_fingerprint = None
-    if manifest is None:
-        status = "torn-tail" if _is_zero(manifest_path) else "corrupt"
-        scrubber.note(
-            manifest_path, store, "manifest", status,
-            detail="unreadable manifest pins no grid; shards below are judged on their own digests",
-            repair="quarantine",
-        )
-    elif manifest.get("format") != STORE_FORMAT:
-        scrubber.note(
-            manifest_path, store, "manifest", "corrupt",
-            detail=f"format {manifest.get('format')!r} != {STORE_FORMAT}",
-            repair="quarantine",
-        )
-    else:
-        grid_fingerprint = manifest.get("grid_fingerprint")
-        scrubber.note(manifest_path, store, "manifest", "ok")
-
-    shard_dir = root / "shards"
-    if shard_dir.is_dir():
-        stems: dict[str, dict[str, Path]] = {}
-        for path in sorted(shard_dir.iterdir()):
-            if _TMP_FILE.search(path.name):
-                scrubber.note(
-                    path, store, "tmp", "orphaned",
-                    detail="temp file from a killed or out-of-space writer",
-                    repair="delete",
-                )
-                continue
-            if path.suffix in (".npz", ".json"):
-                stems.setdefault(path.stem, {})[path.suffix] = path
-        for stem in sorted(stems):
-            pair = stems[stem]
-            npz_path, sidecar_path = pair.get(".npz"), pair.get(".json")
-            if npz_path is None:
-                scrubber.note(
-                    sidecar_path, store, "sidecar", "orphaned",
-                    detail="sidecar without its array file",
-                    repair="quarantine",
-                )
-                continue
-            if sidecar_path is None:
-                scrubber.note(
-                    npz_path, store, "shard", "orphaned",
-                    detail="array file without its sidecar",
-                    repair="quarantine",
-                )
-                continue
-            sidecar = _read_json(sidecar_path)
-            if sidecar is None or not isinstance(sidecar, dict):
-                scrubber.note(
-                    sidecar_path, store, "sidecar",
-                    "torn-tail" if _is_zero(sidecar_path) else "corrupt",
-                    detail="unreadable sidecar",
-                    repair="quarantine",
-                    extra_paths=(npz_path,),
-                )
-                continue
-            if grid_fingerprint is not None and sidecar.get("grid_fingerprint") != grid_fingerprint:
-                scrubber.note(
-                    npz_path, store, "shard", "orphaned",
-                    detail="shard from a different grid",
-                    repair="quarantine",
-                    extra_paths=(sidecar_path,),
-                )
-                continue
-            if _is_zero(npz_path):
-                scrubber.note(
-                    npz_path, store, "shard", "torn-tail",
-                    detail="zero-byte array file (out-of-space or killed writer)",
-                    repair="quarantine",
-                    extra_paths=(sidecar_path,),
-                )
-                continue
-            try:
-                with np.load(npz_path) as handle:
-                    arrays = tuple(handle[name] for name in _SHARD_ARRAY_NAMES)
-            except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-                scrubber.note(
-                    npz_path, store, "shard", "torn-tail",
-                    detail="array file does not load",
-                    repair="quarantine",
-                    extra_paths=(sidecar_path,),
-                )
-                continue
-            if shard_fingerprint(arrays) != sidecar.get("fingerprint"):
-                scrubber.note(
-                    npz_path, store, "shard", "digest-mismatch",
-                    detail="content digest differs from the sidecar's record",
-                    repair="quarantine",
-                    extra_paths=(sidecar_path,),
-                )
-                continue
-            scrubber.note(npz_path, store, "shard", "ok")
-
-    cluster_dir = root / "cluster"
-    if cluster_dir.is_dir():
-        scrub_cluster(cluster_dir, repair, report, ttl, store_root=root, store=store)
-
-
-# ------------------------------------------------------------------ fold store
-def scrub_fold_store(root: Path, repair: bool, report: FsckReport, ttl: float) -> None:
-    from repro.evalrun.foldstore import FOLD_FORMAT, FoldRecord, fold_fingerprint
-
-    scrubber = _Scrubber(root, repair, report)
-    store = f"fold-store {root.name}"
-    manifest_path = root / "manifest.json"
-    manifest = _read_json(manifest_path)
-    protocol_fingerprint = None
-    if manifest is None:
-        scrubber.note(
-            manifest_path, store, "manifest",
-            "torn-tail" if _is_zero(manifest_path) else "corrupt",
-            detail="unreadable manifest",
-            repair="quarantine",
-        )
-    elif manifest.get("format") != FOLD_FORMAT:
-        scrubber.note(
-            manifest_path, store, "manifest", "corrupt",
-            detail=f"format {manifest.get('format')!r} != {FOLD_FORMAT}",
-            repair="quarantine",
-        )
-    else:
-        protocol_fingerprint = manifest.get("protocol_fingerprint")
-        scrubber.note(manifest_path, store, "manifest", "ok")
-
-    fold_dir = root / "folds"
-    if fold_dir.is_dir():
-        for path in sorted(fold_dir.iterdir()):
-            if _TMP_FILE.search(path.name):
-                scrubber.note(
-                    path, store, "tmp", "orphaned",
-                    detail="temp file from a killed or out-of-space writer",
-                    repair="delete",
-                )
-                continue
-            if path.suffix != ".json":
-                continue
-            shard = _read_json(path)
-            if shard is None or not isinstance(shard, dict):
-                scrubber.note(
-                    path, store, "fold",
-                    "torn-tail" if _is_zero(path) else "corrupt",
-                    detail="unreadable fold shard",
-                    repair="quarantine",
-                )
-                continue
-            if (
-                protocol_fingerprint is not None
-                and shard.get("protocol_fingerprint") != protocol_fingerprint
-            ):
-                scrubber.note(
-                    path, store, "fold", "orphaned",
-                    detail="fold from a different protocol",
-                    repair="quarantine",
-                )
-                continue
-            try:
-                record = FoldRecord.from_payload(shard["record"])
-            except (KeyError, TypeError, ValueError, AttributeError):
-                scrubber.note(
-                    path, store, "fold", "corrupt",
-                    detail="fold record does not parse",
-                    repair="quarantine",
-                )
-                continue
-            if fold_fingerprint(record) != shard.get("fingerprint"):
-                scrubber.note(
-                    path, store, "fold", "digest-mismatch",
-                    detail="content digest differs from the shard's record",
-                    repair="quarantine",
-                )
-                continue
-            scrubber.note(path, store, "fold", "ok")
-
-    cluster_dir = root / "cluster"
-    if cluster_dir.is_dir():
-        scrub_cluster(cluster_dir, repair, report, ttl, store_root=root, store=store)
-
-
 # -------------------------------------------------------------------- registry
 def scrub_registry(root: Path, repair: bool, report: FsckReport) -> None:
     from repro.api.registry import REGISTRY_FORMAT, _entry_digest
 
-    scrubber = _Scrubber(root, repair, report)
+    scrubber = Scrubber(root, repair, report)
     store = "registry"
     model_dir = root / "models"
     valid_versions: set[int] = set()
@@ -428,11 +246,11 @@ def scrub_registry(root: Path, repair: bool, report: FsckReport) -> None:
             match = _MODEL_FILE.match(path.name)
             if match is not None:
                 version = int(match.group(1))
-                payload = _read_json(path)
+                payload = read_json(path)
                 if payload is None or not isinstance(payload, dict):
                     scrubber.note(
                         path, store, "model",
-                        "torn-tail" if _is_zero(path) else "corrupt",
+                        "torn-tail" if is_zero(path) else "corrupt",
                         detail="unreadable model entry",
                         repair="quarantine",
                     )
@@ -492,11 +310,11 @@ def scrub_registry(root: Path, repair: bool, report: FsckReport) -> None:
 
     pointer_path = root / "promoted.json"
     if pointer_path.exists():
-        pointer = _read_json(pointer_path)
+        pointer = read_json(pointer_path)
         if pointer is None or not isinstance(pointer, dict):
             scrubber.note(
                 pointer_path, store, "pointer",
-                "torn-tail" if _is_zero(pointer_path) else "corrupt",
+                "torn-tail" if is_zero(pointer_path) else "corrupt",
                 detail="unreadable promotion pointer (quarantined, promotions reset)",
                 repair="quarantine",
             )
@@ -561,7 +379,7 @@ def _rewrite_pointer(path: Path, pointer: dict, valid_versions: set[int]) -> boo
 def scrub_jobs(root: Path, repair: bool, report: FsckReport) -> None:
     from repro.service.jobs import JobJournal, _chain_digest, _chain_seed
 
-    scrubber = _Scrubber(root, repair, report)
+    scrubber = Scrubber(root, repair, report)
     store = "jobs"
     for path in sorted(root.iterdir()):
         if not path.is_dir() or _JOB_DIR.match(path.name) is None:
@@ -593,7 +411,7 @@ def scrub_jobs(root: Path, repair: bool, report: FsckReport) -> None:
             if snapshot is None:
                 scrubber.note(
                     snapshot_path, store, "snapshot",
-                    "torn-tail" if _is_zero(snapshot_path) else "corrupt",
+                    "torn-tail" if is_zero(snapshot_path) else "corrupt",
                     detail="snapshot fails its chain verification",
                     repair="quarantine",
                     quarantine_root=root,
@@ -686,16 +504,16 @@ def scrub_cluster(
 ) -> None:
     from repro.cluster.lease import LeaseTable
 
-    scrubber = _Scrubber(store_root, repair, report)
+    scrubber = Scrubber(store_root, repair, report)
     lease_root = cluster_root / LeaseTable.LEASE_SUBDIR
     if lease_root.is_dir():
         table_path = lease_root / LeaseTable.META_NAME
         if table_path.exists():
-            table = _read_json(table_path)
+            table = read_json(table_path)
             if table is None or not isinstance(table, dict):
                 scrubber.note(
                     table_path, store, "lease-table",
-                    "torn-tail" if _is_zero(table_path) else "corrupt",
+                    "torn-tail" if is_zero(table_path) else "corrupt",
                     detail="unreadable lease table (recreated by the next worker)",
                     repair="quarantine",
                 )
@@ -721,7 +539,7 @@ def scrub_cluster(
                 continue
             if not path.name.endswith(LeaseTable.SUFFIX):
                 continue
-            payload = _read_json(path)
+            payload = read_json(path)
             owner = payload.get("owner") if isinstance(payload, dict) else None
             try:
                 age = max(0.0, now - path.stat().st_mtime)
@@ -744,17 +562,17 @@ def scrub_cluster(
     progress_root = cluster_root / "progress"
     if progress_root.is_dir():
         for path in sorted(progress_root.glob("*.json")):
-            if _read_json(path) is None:
+            if read_json(path) is None:
                 scrubber.note(
                     path, store, "progress",
-                    "torn-tail" if _is_zero(path) else "corrupt",
+                    "torn-tail" if is_zero(path) else "corrupt",
                     detail="unreadable worker progress file",
                     repair="delete",
                 )
             else:
                 scrubber.note(path, store, "progress", "ok")
     artifact = cluster_root / "progress.json"
-    if artifact.exists() and _read_json(artifact) is None:
+    if artifact.exists() and read_json(artifact) is None:
         scrubber.note(
             artifact, store, "progress", "corrupt",
             detail="unreadable progress artifact",
@@ -771,6 +589,8 @@ def fsck_path(
 ) -> FsckReport:
     """Scrub one store directory, inferring which store family it is."""
     from repro.cluster.lease import DEFAULT_LEASE_TTL
+    from repro.evalrun.foldstore import FoldStore
+    from repro.store.store import ExperimentStore
 
     root = Path(root)
     ttl = DEFAULT_LEASE_TTL if ttl is None else ttl
@@ -778,22 +598,29 @@ def fsck_path(
         report = FsckReport(root=str(root), repair=repair)
     if not root.is_dir():
         return report
-    manifest = _read_json(root / "manifest.json")
-    if isinstance(manifest, dict) and "grid_fingerprint" in manifest:
-        scrub_experiment_store(root, repair, report, ttl)
-    elif isinstance(manifest, dict) and "protocol_fingerprint" in manifest:
-        scrub_fold_store(root, repair, report, ttl)
-    elif (root / "shards").is_dir():
-        scrub_experiment_store(root, repair, report, ttl)
-    elif (root / "folds").is_dir():
-        scrub_fold_store(root, repair, report, ttl)
+    manifest = read_json(root / "manifest.json")
+    pinned = manifest if isinstance(manifest, dict) else {}
+    families = (ExperimentStore, FoldStore)
+    family = next(
+        (family for family in families if family.codec.identity_field in pinned), None
+    ) or next(
+        (family for family in families if (root / family.codec.unit_dir).is_dir()), None
+    )
+    if family is not None:
+        report.findings.extend(family.scrub(root, repair))
+        cluster_dir = root / "cluster"
+        if cluster_dir.is_dir():
+            scrub_cluster(
+                cluster_dir, repair, report, ttl,
+                store_root=root, store=f"{family.codec.family} {root.name}",
+            )
     elif (root / "models").is_dir() or (root / "promoted.json").exists():
         scrub_registry(root, repair, report)
     elif any(_JOB_DIR.match(path.name) for path in root.iterdir() if path.is_dir()):
         scrub_jobs(root, repair, report)
     elif (root / "manifest.json").exists():
         # A manifest that parses to neither store family: report it.
-        _Scrubber(root, repair, report).note(
+        Scrubber(root, repair, report).note(
             root / "manifest.json", root.name, "manifest", "corrupt",
             detail="manifest belongs to no known store family",
             repair="quarantine",
@@ -827,16 +654,8 @@ def fsck_cache(
             continue
         # Scrubbers report paths relative to their store root; re-anchor
         # to the cache root so findings name their store unambiguously.
-        for finding in sub.findings:
-            report.findings.append(
-                Finding(
-                    path=f"{child.name}/{finding.path}",
-                    store=finding.store,
-                    kind=finding.kind,
-                    status=finding.status,
-                    detail=finding.detail,
-                    repair=finding.repair,
-                    repaired=finding.repaired,
-                )
-            )
+        report.findings.extend(
+            replace(finding, path=f"{child.name}/{finding.path}")
+            for finding in sub.findings
+        )
     return report

@@ -8,7 +8,8 @@ a manifest that pins the exact grid.  An :class:`ExperimentRunner` walks
 the grid, computes pending shards through the compile-once/simulate-many
 hot path (one compilation per (program, setting), simulated across a whole
 machine chunk), checkpoints each shard, and skips completed shards on
-restart.
+restart.  The store is one codec over :mod:`repro.store.units`, the
+digest-verified unit store the protocol's fold store shares.
 
 The invariant everything here preserves: however a store was filled —
 serial or parallel, one shot or killed-and-resumed, any chunking — the

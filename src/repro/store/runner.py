@@ -150,14 +150,14 @@ class ExperimentRunner:
         """One cluster worker's share of the build: claim, compute,
         checkpoint through the shared lease table.  Run any number of
         these concurrently against the same store root."""
-        from repro.cluster import ClusterWorker, ShardQueue
+        from repro.cluster import ClusterWorker
         from repro.cluster.lease import DEFAULT_LEASE_TTL
 
         if not self.store.pending_keys():
             return 0  # complete already; leave no cluster directory behind
 
         worker = ClusterWorker(
-            ShardQueue(self),
+            self.queue(),
             lease_ttl=(
                 self.lease_ttl
                 if self.lease_ttl is not None
@@ -167,6 +167,22 @@ class ExperimentRunner:
             progress=progress,
         )
         return worker.run().units_completed
+
+    def queue(self):
+        """This build as cluster work: one unit per shard, computed through
+        the serial path (whose memoising compiler amortises compilation
+        across a worker's consecutive same-program shards)."""
+        from repro.cluster import UnitQueue
+
+        work = self._shard_function("serial")
+        settings = list(self.store.grid.settings)
+
+        def checkpoint(key: ShardKey) -> dict:
+            arrays = work(self._work_item(key, settings, "serial"))
+            self.store.write_shard(key, arrays)
+            return {"simulation_calls": arrays[0].size}
+
+        return UnitQueue(self.store, checkpoint)
 
     def _work_item(self, key: ShardKey, settings, strategy: str):
         program = self.programs[key.program]

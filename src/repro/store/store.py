@@ -1,9 +1,9 @@
 """The sharded, resumable experiment store.
 
 An :class:`ExperimentStore` holds the results of one experiment grid —
-``programs × machines × settings`` — as a collection of append-only,
-content-fingerprinted shard files, one per (program, machine-chunk).
-On-disk layout under the store root::
+``programs × machines × settings`` — as a :class:`~repro.store.units.UnitStore`
+of shards, one per (program, machine-chunk).  The shard layout lives in
+:class:`ShardCodec`; under the store root::
 
     store-<scale>-<fingerprint>/
         manifest.json             # the full grid: programs, machines,
@@ -13,10 +13,8 @@ On-disk layout under the store root::
             p0000-c0000.json      # counters[Mc, K], code_features[J]
             ...                   # + sidecar with the content digest
 
-Shards are written atomically (temp file + rename, array file before
-sidecar), so a killed run leaves either a complete, verifiable shard or
-nothing — restarting simply skips every shard whose sidecar digest
-checks out and recomputes the rest.  Because each shard is a pure
+The unit store writes the array file before the sidecar and skips every
+shard whose sidecar checks out on restart.  Because each shard is a pure
 function of the manifest grid, a resumed store assembles to a
 :class:`~repro.core.training.TrainingSet` bit-identical to a single-shot
 build, whatever the executor or interruption pattern.
@@ -31,8 +29,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
-import time
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,20 +36,22 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.ioutil import DEFAULT_RETRY, atomic_write_bytes, atomic_write_text
-
 from repro.compiler.flags import FlagSetting
 from repro.core.training import TrainingSet
 from repro.machine.params import MicroArch
 from repro.sim.counters import COUNTER_NAMES
 from repro.store.compute import ShardArrays
+from repro.store.units import (
+    MANIFEST_NAME,
+    StoreError,
+    UnitCodec,
+    UnitDamage,
+    UnitFile,
+    UnitStore,
+)
 
 #: Manifest/sidecar schema version; bump on incompatible layout changes.
 STORE_FORMAT = 1
-
-#: Temp files older than this are orphans of killed writers and get
-#: swept on store open; live writers finish a shard in well under this.
-STALE_TMP_SECONDS = 3600.0
 
 #: Default machines per shard.  Larger chunks amortise compilation over
 #: more simulations (compile-once/simulate-many) but checkpoint less
@@ -62,10 +60,6 @@ STALE_TMP_SECONDS = 3600.0
 DEFAULT_CHUNK_MACHINES = 8
 
 _SHARD_ARRAY_NAMES = ("runtimes", "o3_runtimes", "counters", "code_features")
-
-
-class StoreError(RuntimeError):
-    """A store directory is unusable: wrong grid, version, or corrupt."""
 
 
 class ShardKey(NamedTuple):
@@ -250,7 +244,57 @@ class StoreStatus:
         return "\n".join(lines)
 
 
-class ExperimentStore:
+class ShardCodec(UnitCodec):
+    """A shard is an ``.npz`` of its four arrays plus a JSON sidecar
+    recording its grid coordinates and content digest."""
+
+    family = "experiment-store"
+    format = STORE_FORMAT
+    unit_dir = "shards"
+    files = (
+        UnitFile(".npz", "shard", "array file", "store.shard.npz"),
+        UnitFile(".json", "sidecar", "sidecar", "store.shard.sidecar"),
+    )
+    identity_field = "grid_fingerprint"
+    identity_name = "grid"
+    grid_name = "experiment grid"
+    manifest_site = "store.manifest"
+
+    def encode(self, store, key, arrays, digest):
+        buffer = io.BytesIO()
+        np.savez(buffer, **dict(zip(_SHARD_ARRAY_NAMES, arrays)))
+        start, stop = store.grid.chunk_range(key.chunk)
+        sidecar = {
+            "format": self.format,
+            "program": key.program,
+            "chunk": key.chunk,
+            "machine_start": start,
+            "machine_stop": stop,
+            "grid_fingerprint": store.identity,
+            "fingerprint": digest,
+        }
+        return buffer.getvalue(), json.dumps(sidecar).encode()
+
+    def decode(self, paths, header):
+        npz_path = paths[0]
+        try:
+            if npz_path.stat().st_size == 0:
+                raise UnitDamage(
+                    "torn-tail",
+                    "zero-byte array file (out-of-space or killed writer)",
+                )
+            with np.load(npz_path) as handle:
+                return tuple(handle[name] for name in _SHARD_ARRAY_NAMES)
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as error:
+            raise UnitDamage(
+                "torn-tail", f"array file does not load ({error})"
+            ) from error
+
+    def digest(self, arrays):
+        return shard_fingerprint(arrays)
+
+
+class ExperimentStore(UnitStore):
     """Sharded on-disk (or in-memory) results for one experiment grid.
 
     Completed shards are never rewritten; an interrupted run resumes by
@@ -260,79 +304,29 @@ class ExperimentStore:
     bytes, so the race is benign.
     """
 
-    MANIFEST_NAME = "manifest.json"
-    SHARD_DIR = "shards"
+    codec = ShardCodec()
 
     def __init__(self, grid: GridSpec, root: str | Path | None = None):
-        self.root = Path(root) if root is not None else None
-        self._memory: dict[ShardKey, ShardArrays] = {}
-        #: Shards this instance has confirmed complete.  Completion is
-        #: monotonic (shards are never deleted), so a positive answer can
-        #: be cached forever, sparing repeated sidecar reads during the
-        #: pending/status/write scans of a long run.
-        self._known_complete: set[ShardKey] = set()
-        if self.root is not None:
-            manifest = self._read_manifest()
-            if manifest is None:
-                self.grid = grid
-                self._write_manifest()
-            else:
-                if manifest["grid_fingerprint"] != grid.fingerprint():
-                    raise StoreError(
-                        f"store at {self.root} holds a different grid "
-                        f"({manifest['grid_fingerprint']} != {grid.fingerprint()})"
-                    )
-                # Adopt the manifest's chunking: shard boundaries were
-                # fixed when the store was created.
-                self.grid = dataclasses.replace(
-                    grid, chunk_machines=int(manifest["chunk_machines"])
-                )
-            self._sweep_stale_tmp()
-        else:
-            self.grid = grid
+        self.grid = grid
+        manifest = self._open(root, grid.fingerprint())
+        if manifest is not None:
+            # Adopt the manifest's chunking: shard boundaries were fixed
+            # when the store was created.
+            self.grid = dataclasses.replace(
+                grid, chunk_machines=int(manifest["chunk_machines"])
+            )
 
     # ------------------------------------------------------------- manifest
     @classmethod
     def open(cls, root: str | Path) -> "ExperimentStore":
         """Open an existing store from its manifest alone."""
-        root = Path(root)
-        manifest_path = root / cls.MANIFEST_NAME
+        manifest_path = Path(root) / MANIFEST_NAME
         if not manifest_path.exists():
             raise StoreError(f"no store manifest at {manifest_path}")
-        manifest = json.loads(manifest_path.read_text())
-        grid = GridSpec(
-            program_names=tuple(manifest["program_names"]),
-            machines=tuple(
-                MicroArch(**fields) for fields in manifest["machines"]
-            ),
-            settings=tuple(
-                FlagSetting.from_indices(indices)
-                for indices in manifest["settings"]
-            ),
-            extended=bool(manifest["extended"]),
-            chunk_machines=int(manifest["chunk_machines"]),
-            metadata=dict(manifest["metadata"]),
-        )
-        return cls(grid, root)
+        return cls(_grid_from_manifest(json.loads(manifest_path.read_text())), root)
 
-    def _read_manifest(self) -> dict | None:
-        path = self.root / self.MANIFEST_NAME
-        if not path.exists():
-            return None
-        manifest = json.loads(path.read_text())
-        if manifest.get("format") != STORE_FORMAT:
-            raise StoreError(
-                f"store at {self.root} uses format "
-                f"{manifest.get('format')!r}, expected {STORE_FORMAT}"
-            )
-        return manifest
-
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / self.SHARD_DIR).mkdir(exist_ok=True)
-        manifest = {
-            "format": STORE_FORMAT,
-            "grid_fingerprint": self.grid.fingerprint(),
+    def _manifest_fields(self) -> dict:
+        return {
             "program_names": list(self.grid.program_names),
             "machines": [
                 dataclasses.asdict(machine) for machine in self.grid.machines
@@ -344,76 +338,24 @@ class ExperimentStore:
             "chunk_machines": self.grid.chunk_machines,
             "metadata": self.grid.metadata,
         }
-        atomic_write_text(
-            self.root / self.MANIFEST_NAME,
-            json.dumps(manifest, indent=1),
-            site="store.manifest",
-            fsync=True,
-        )
 
-    def _sweep_stale_tmp(self) -> None:
-        """Remove temp files orphaned by killed writers.
-
-        Only files past :data:`STALE_TMP_SECONDS` go — a concurrent
-        writer's live temp file must not be yanked mid-write.
-        """
-        shard_dir = self.root / self.SHARD_DIR
-        if not shard_dir.exists():
-            return
-        cutoff = time.time() - STALE_TMP_SECONDS
-        for path in shard_dir.glob("*.tmp"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-            except OSError:
-                pass  # already gone, or not ours to remove
+    @classmethod
+    def _manifest_keys(cls, manifest: dict) -> Iterator[ShardKey]:
+        return _grid_from_manifest(manifest).shard_keys()
 
     # --------------------------------------------------------------- shards
-    def _shard_paths(self, key: ShardKey) -> tuple[Path, Path]:
-        base = self.root / self.SHARD_DIR / key.stem()
-        return base.with_suffix(".npz"), base.with_suffix(".json")
-
-    def has_shard(self, key: ShardKey) -> bool:
-        if self.root is None:
-            return key in self._memory
-        if key in self._known_complete:
-            return True
-        npz_path, sidecar_path = self._shard_paths(key)
-        try:
-            # A zero-byte array file is the torn tail an out-of-space or
-            # killed writer leaves behind; treat it — like any unreadable
-            # sidecar — as pending so resume recomputes the shard instead
-            # of tripping over it at read time.
-            if npz_path.stat().st_size == 0:
-                return False
-        except OSError:
-            return False
-        if not sidecar_path.exists():
-            return False
-        try:
-            sidecar = json.loads(sidecar_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return False
-        if sidecar.get("grid_fingerprint") != self.grid.fingerprint():
-            return False
-        self._known_complete.add(key)
-        return True
-
-    def completed_keys(self) -> list[ShardKey]:
-        return [key for key in self.grid.shard_keys() if self.has_shard(key)]
-
-    def pending_keys(self) -> list[ShardKey]:
-        return [key for key in self.grid.shard_keys() if not self.has_shard(key)]
-
-    def is_complete(self) -> bool:
-        return not self.pending_keys()
+    def keys(self, subset=None) -> Iterator[ShardKey]:
+        """Every shard key, program-major (a dataset has no subsets)."""
+        return self.grid.shard_keys()
 
     def write_shard(self, key: ShardKey, arrays: ShardArrays) -> None:
         """Checkpoint one computed shard (atomic; never rewrites)."""
+        self._require_key(key)  # the shape check below assumes a grid key
         # Copies, not views: ascontiguousarray would pass a caller's
         # already-contiguous array (or slice) through unchanged, and an
         # in-memory store holding views could be mutated from outside,
-        # silently changing its digests.
+        # silently changing its digests.  The copies are frozen so a
+        # reader holding the returned arrays cannot mutate the store.
         arrays = tuple(
             np.array(array, dtype=float, order="C", copy=True)
             for array in arrays
@@ -424,78 +366,13 @@ class ExperimentStore:
                 raise ValueError(
                     f"{key.stem()}: {name} shape {by_name[name].shape} != {shape}"
                 )
-        if self.has_shard(key):
-            return  # append-only: first complete write wins
-        if self.root is None:
-            # Freeze the stored copies so a reader holding the returned
-            # arrays cannot mutate the store from outside.
-            for array in arrays:
-                array.setflags(write=False)
-            self._memory[key] = arrays
-            return
-        npz_path, sidecar_path = self._shard_paths(key)
-        buffer = io.BytesIO()
-        np.savez(buffer, **dict(zip(_SHARD_ARRAY_NAMES, arrays)))
-        atomic_write_bytes(
-            npz_path,
-            buffer.getvalue(),
-            site="store.shard.npz",
-            fsync=True,
-            retries=DEFAULT_RETRY,
-        )
-        start, stop = self.grid.chunk_range(key.chunk)
-        sidecar = {
-            "format": STORE_FORMAT,
-            "program": key.program,
-            "chunk": key.chunk,
-            "machine_start": start,
-            "machine_stop": stop,
-            "grid_fingerprint": self.grid.fingerprint(),
-            "fingerprint": shard_fingerprint(arrays),
-        }
-        atomic_write_text(
-            sidecar_path,
-            json.dumps(sidecar),
-            site="store.shard.sidecar",
-            fsync=True,
-            retries=DEFAULT_RETRY,
-        )
-        self._known_complete.add(key)
+        for array in arrays:
+            array.setflags(write=False)
+        self._put(key, arrays)
 
     def read_shard(self, key: ShardKey, verify: bool = True) -> ShardArrays:
         """Load one shard, verifying its content digest by default."""
-        if self.root is None:
-            try:
-                return self._memory[key]
-            except KeyError:
-                raise StoreError(f"shard {key.stem()} not in store") from None
-        npz_path, sidecar_path = self._shard_paths(key)
-        if not self.has_shard(key):
-            raise StoreError(f"shard {key.stem()} not in store")
-        try:
-            with np.load(npz_path) as handle:
-                arrays = tuple(handle[name] for name in _SHARD_ARRAY_NAMES)
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as error:
-            raise StoreError(
-                f"shard {key.stem()} is torn or corrupt ({error}); "
-                f"quarantine with fsck and resume"
-            ) from error
-        if verify:
-            sidecar = json.loads(sidecar_path.read_text())
-            digest = shard_fingerprint(arrays)
-            if digest != sidecar["fingerprint"]:
-                raise StoreError(
-                    f"shard {key.stem()} is corrupt: digest {digest} != "
-                    f"recorded {sidecar['fingerprint']}"
-                )
-        return arrays
-
-    def shard_digest(self, key: ShardKey) -> str:
-        """The recorded (disk) or computed (memory) content digest."""
-        if self.root is None:
-            return shard_fingerprint(self._memory[key])
-        _, sidecar_path = self._shard_paths(key)
-        return json.loads(sidecar_path.read_text())["fingerprint"]
+        return self._get(key, verify)
 
     # ------------------------------------------------------------- assembly
     def assemble(self) -> TrainingSet:
@@ -576,53 +453,35 @@ class ExperimentStore:
             written += 1
         return written
 
-    def fingerprint(self) -> str:
-        """Content digest of the complete store.
-
-        Covers the grid identity plus every shard's content digest in
-        grid order — equal between any two stores holding the same
-        results, however they were computed.
-        """
-        digest = hashlib.sha256()
-        digest.update(self.grid.fingerprint().encode())
-        for key in self.grid.shard_keys():
-            if not self.has_shard(key):
-                raise StoreError(f"cannot fingerprint: {key.stem()} missing")
-            digest.update(self.shard_digest(key).encode())
-        return digest.hexdigest()[:16]
-
     # --------------------------------------------------------------- status
     def status(self) -> StoreStatus:
         grid = self.grid
-        per_program: dict[str, tuple[int, int]] = {}
-        completed = 0
-        for p, name in enumerate(grid.program_names):
-            done = sum(
-                1
-                for chunk in range(grid.n_chunks)
-                if self.has_shard(ShardKey(p, chunk))
-            )
-            per_program[name] = (done, grid.n_chunks)
-            completed += done
-        bytes_on_disk = 0
-        if self.root is not None and (self.root / self.SHARD_DIR).exists():
-            bytes_on_disk = sum(
-                path.stat().st_size
-                for path in (self.root / self.SHARD_DIR).iterdir()
-                if path.suffix != ".tmp"
-            )
+        per_program = self.progress(lambda key: grid.program_names[key.program])
         return StoreStatus(
             root=str(self.root) if self.root is not None else "<memory>",
-            grid_fingerprint=grid.fingerprint(),
+            grid_fingerprint=self.identity,
             n_programs=grid.n_programs,
             n_machines=grid.n_machines,
             n_settings=grid.n_settings,
             chunk_machines=grid.chunk_machines,
             total_shards=grid.n_shards,
-            completed_shards=completed,
-            bytes_on_disk=bytes_on_disk,
+            completed_shards=sum(done for done, _ in per_program.values()),
+            bytes_on_disk=self.bytes_on_disk(),
             per_program=per_program,
         )
+
+
+def _grid_from_manifest(manifest: dict) -> GridSpec:
+    return GridSpec(
+        program_names=tuple(manifest["program_names"]),
+        machines=tuple(MicroArch(**fields) for fields in manifest["machines"]),
+        settings=tuple(
+            FlagSetting.from_indices(indices) for indices in manifest["settings"]
+        ),
+        extended=bool(manifest["extended"]),
+        chunk_machines=int(manifest["chunk_machines"]),
+        metadata=dict(manifest["metadata"]),
+    )
 
 
 def shard_fingerprint(arrays: Sequence[np.ndarray]) -> str:

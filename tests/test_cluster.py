@@ -31,9 +31,7 @@ from repro.cluster import (
     ClusterError,
     ClusterStatus,
     ClusterWorker,
-    FoldQueue,
     LeaseTable,
-    ShardQueue,
     run_local_workers,
     store_cluster_status,
 )
@@ -76,7 +74,7 @@ def _shard_worker(root, grid, programs, **kwargs):
     """One worker with its own store/runner objects, as a real process has."""
     store = ExperimentStore(grid, root=root)
     runner = ExperimentRunner(store, programs=programs)
-    return ClusterWorker(ShardQueue(runner), lease_ttl=10.0, **kwargs)
+    return ClusterWorker(runner.queue(), lease_ttl=10.0, **kwargs)
 
 
 class TestLeaseTable:
@@ -413,7 +411,7 @@ class TestClusterDrain:
         root = tmp_path / "store"
         store = ExperimentStore(smoke_grid, root=root)
         runner = ExperimentRunner(store, programs=smoke_programs)
-        queue = ShardQueue(runner)
+        queue = runner.queue()
         table = LeaseTable(
             queue.cluster_root / "leases", queue.fingerprint, ttl=0.2
         )
@@ -510,7 +508,7 @@ class TestFoldCluster:
         def drain(index):
             pipeline = self._pipeline(tiny_data, root)
             worker = ClusterWorker(
-                FoldQueue(pipeline, only), lease_ttl=10.0, poll_interval=0.02
+                pipeline.queue(only), lease_ttl=10.0, poll_interval=0.02
             )
             reports[index] = worker.run()
 

@@ -79,7 +79,7 @@ class TestFoldStore:
         store = _store(tiny_data, root=tmp_path / "proto")
         record = _record()
         store.write_fold(record)
-        assert store.has_fold(record.key)
+        assert store.has(record.key)
         loaded = store.read_fold(record.key)
         assert loaded == record
         assert fold_fingerprint(loaded) == fold_fingerprint(record)
@@ -96,12 +96,12 @@ class TestFoldStore:
         store = _store(tiny_data, root=tmp_path / "proto")
         record = _record()
         store.write_fold(record)
-        path = store._fold_path(record.key)
+        [path] = store.unit_paths(record.key)
         shard = json.loads(path.read_text())
         shard["record"]["rows"][0]["predicted_runtime"] = 123.0
         path.write_text(json.dumps(shard))
         fresh = _store(tiny_data, root=tmp_path / "proto")
-        assert not fresh.has_fold(record.key)
+        assert not fresh.has(record.key)
         assert record.key in fresh.pending_keys()
         with pytest.raises(FoldStoreError, match="not in store|corrupt"):
             fresh.read_fold(record.key)
@@ -114,7 +114,7 @@ class TestFoldStore:
         store = _store(tiny_data, root=tmp_path / "proto")
         record = _record()
         store.write_fold(record)
-        path = store._fold_path(record.key)
+        [path] = store.unit_paths(record.key)
         for malformed in (
             '{"not": "a shard"}',
             '{"protocol_fingerprint": "%s", "record": {"variant": "base"}}'
@@ -123,7 +123,7 @@ class TestFoldStore:
         ):
             path.write_text(malformed)
             fresh = _store(tiny_data, root=tmp_path / "proto")
-            assert not fresh.has_fold(record.key)
+            assert not fresh.has(record.key)
             assert record.key in fresh.pending_keys()
 
     def test_reopen_rejects_different_protocol(self, tiny_data, tmp_path):

@@ -269,7 +269,7 @@ class TestStoreTolerance:
         victim.write_bytes(victim.read_bytes()[:64])  # torn, not empty
 
         store = ExperimentStore(smoke_grid, root)
-        key = [k for k in store.completed_keys() if store._shard_paths(k)[0] == victim]
+        key = [k for k in store.completed_keys() if store.unit_paths(k)[0] == victim]
         with pytest.raises(StoreError, match="quarantine with fsck"):
             store.read_shard(key[0])
 
@@ -280,7 +280,7 @@ class TestStoreTolerance:
         variants = protocol_variants()[:1]
         store = FoldStore("feedbeef", variants, ["crc"], root=tmp_path / "folds")
         key = next(iter(store.fold_keys()))
-        path = store._fold_path(key)
+        [path] = store.unit_paths(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"torn')
         with pytest.raises(FoldStoreError, match="quarantine with fsck"):

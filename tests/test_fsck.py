@@ -155,6 +155,17 @@ class TestExperimentStoreScrub:
         assert finding.status == "orphaned"
         assert "different grid" in finding.detail
 
+    def test_out_of_grid_shard_is_orphaned(self, cache_copy, smoke_grid):
+        shards = cache_copy / f"store-smoke-{smoke_grid.fingerprint()}" / "shards"
+        for suffix in (".npz", ".json"):  # a verifiable shard, wrong stem
+            shutil.copy(shards / f"p0000-c0000{suffix}", shards / f"p0011-c0000{suffix}")
+        report = fsck_cache(cache_copy, repair=True)
+        finding = _status_of(report, "p0011-c0000.npz")
+        assert (finding.kind, finding.status) == ("shard", "orphaned")
+        assert "not in this store's grid" in finding.detail and finding.repaired
+        assert not (shards / "p0011-c0000.json").exists()
+        assert fsck_cache(cache_copy).clean
+
     def test_repair_then_resume_rebuilds_only_the_damaged_unit(
         self, cache_copy, smoke_grid, clean_cache
     ):
@@ -198,6 +209,18 @@ class TestFoldStoreScrub:
         assert _status_of(report, "foreign.json").status == "orphaned"
         assert _status_of(report, "empty.json").status == "torn-tail"
         assert _status_of(report, ".stray.json.9.tmp").status == "orphaned"
+
+    def test_out_of_grid_fold_is_orphaned(self, cache_copy, clean_cache):
+        folds = cache_copy / f"protocol-smoke-{clean_cache['protocol_fingerprint']}" / "folds"
+        # Same protocol fingerprint and a valid digest, but the manifest
+        # lists only crc and search.
+        shutil.copy(folds / "base--crc.json", folds / "base--qsort.json")
+        report = fsck_cache(cache_copy, repair=True)
+        finding = _status_of(report, "base--qsort.json")
+        assert (finding.kind, finding.status) == ("fold", "orphaned")
+        assert "not in this store's grid" in finding.detail and finding.repaired
+        assert not (folds / "base--qsort.json").exists()
+        assert fsck_cache(cache_copy).clean
 
     def test_repair_then_resume_restores_the_clean_fingerprint(
         self, cache_copy, clean_cache, smoke_grid

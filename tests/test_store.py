@@ -116,11 +116,11 @@ class TestExperimentStore:
             smoke_programs[0], smoke_grid.chunk_of(key), smoke_grid.settings
         )
         store.write_shard(key, arrays)
-        assert store.has_shard(key)
+        assert store.has(key)
         back = store.read_shard(key)
         for written, read in zip(arrays, back):
             assert np.array_equal(written, read)
-        assert store.shard_digest(key) == shard_fingerprint(arrays)
+        assert store.digest(key) == shard_fingerprint(arrays)
 
     def test_corrupt_shard_detected(self, tmp_path, smoke_grid, smoke_programs):
         store = ExperimentStore(smoke_grid, root=tmp_path / "store")
@@ -131,7 +131,7 @@ class TestExperimentStore:
                 smoke_programs[0], smoke_grid.chunk_of(key), smoke_grid.settings
             ),
         )
-        npz_path, _ = store._shard_paths(key)
+        npz_path, _ = store.unit_paths(key)
         other = ShardKey(0, 1)
         np.savez(
             npz_path,
@@ -142,7 +142,7 @@ class TestExperimentStore:
         )
         with pytest.raises(StoreError, match="corrupt"):
             store.read_shard(key)
-        assert not store.has_shard(other)
+        assert not store.has(other)
 
     def test_append_only_first_write_wins(
         self, tmp_path, smoke_grid, smoke_programs
@@ -153,10 +153,10 @@ class TestExperimentStore:
             smoke_programs[1], smoke_grid.chunk_of(key), smoke_grid.settings
         )
         store.write_shard(key, arrays)
-        digest = store.shard_digest(key)
+        digest = store.digest(key)
         doctored = tuple(array * 2.0 for array in arrays)
         store.write_shard(key, doctored)  # silently ignored
-        assert store.shard_digest(key) == digest
+        assert store.digest(key) == digest
         assert np.array_equal(store.read_shard(key)[0], arrays[0])
 
     def test_shape_validation(self, tmp_path, smoke_grid):
@@ -169,6 +169,18 @@ class TestExperimentStore:
         )
         with pytest.raises(ValueError, match="shape"):
             store.write_shard(ShardKey(0, 0), bad)
+
+    def test_out_of_grid_keys_are_rejected(self, tmp_path, smoke_grid):
+        """Correctly shaped arrays under a key outside the grid used to
+        land as p0011-c0000 / p-001-c0000 files in shards/."""
+        store = ExperimentStore(smoke_grid, root=tmp_path / "store")
+        for key in (ShardKey(11, 0), ShardKey(-1, 0)):
+            arrays = tuple(
+                np.ones(shape) for shape in smoke_grid.shard_shapes(key).values()
+            )
+            with pytest.raises(StoreError, match="not in this experiment grid"):
+                store.write_shard(key, arrays)
+        assert list((tmp_path / "store" / "shards").iterdir()) == []
 
     def test_manifest_rejects_other_grid(self, tmp_path, smoke_grid):
         root = tmp_path / "store"
@@ -249,9 +261,9 @@ class TestExperimentStore:
             smoke_programs[0], smoke_grid.chunk_of(key), smoke_grid.settings
         )
         store.write_shard(key, arrays)
-        digest = store.shard_digest(key)
+        digest = store.digest(key)
         arrays[0][:] = -1.0  # caller trashes its own copy
-        assert store.shard_digest(key) == digest
+        assert store.digest(key) == digest
         assert (store.read_shard(key)[0] > 0).all()
 
     def test_memory_store_same_api(self, smoke_grid, smoke_programs):
